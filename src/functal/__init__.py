@@ -67,7 +67,6 @@ from .tensor import (
     IdentityReport,
     conjecture_probe,
     extended_cayley_check,
-    kronecker,
     kronecker_swap_matrix,
     mat_tensor_index_experiment,
     tensor_char_check,

@@ -22,7 +22,6 @@ from . import algebra as ac
 from .algebra import Algebra, parse_algebra, serialize_algebra, validate
 from .errors import (
     AlgebraParseError,
-    DegenerateCharPoly,
     FunctalError,
     NoRegularAlpha0,
     NotAnIdeal,
@@ -45,7 +44,7 @@ from .spectrum import (
 from .suites import SUITES, run_suite
 from .tensor import conjecture_probe, tensor_char_check, tensor_stab_suite
 
-ANALYSIS_ERRORS = (DegenerateCharPoly, NoRegularAlpha0, NotType1, NotAnIdeal, ZeroPolynomial)
+ANALYSIS_ERRORS = (NoRegularAlpha0, NotType1, NotAnIdeal, ZeroPolynomial)
 
 
 def load_algebra(spec: str) -> Algebra:

@@ -22,10 +22,6 @@ class EnvelopeExceeded(FunctalError):
     pass
 
 
-class DegenerateCharPoly(FunctalError):
-    pass
-
-
 class DegeneratePencil(FunctalError):
     pass
 

@@ -194,11 +194,6 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix([row[n:] for row in reduced[:n]])
 
 
-def solve(m: RatMatrix, b: Vector) -> Vector:
-    """Unique solution of m @ x = b for invertible m."""
-    return inverse(m).apply(b)
-
-
 def _det_int_bareiss(rows: list[list[int]]) -> int:
     n = len(rows)
     if n == 0:

@@ -5,17 +5,16 @@ Fraction coefficients.  The canonical term order everywhere (serialization,
 leading terms, normalization) is graded lexicographic, descending.
 
 The two-variable pencil polynomial det(lam*P + mu*Q) has its own subclass
-``BivariatePoly`` with the fixed variable pair ("lam", "mu"); it is produced
-exactly either by Bareiss elimination over the polynomial domain or, for
-larger matrices, by interpolating the univariate slice det(t*P + Q) at
-integer nodes and homogenizing.
+``BivariatePoly`` with the fixed variable pair ("lam", "mu"); ``pencil_det``
+computes it exactly by interpolating the univariate slice det(t*P + Q) at
+t = 0..n and homogenizing.  Rational roots of univariate polynomials are
+found by p-adic lifting, without integer factorisation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import random
 import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -341,10 +340,6 @@ class BivariatePoly(MultivariatePoly):
             raise ValueError("BivariatePoly is fixed to variables (lam, mu)")
         super().__init__(PENCIL_VARS, terms)
 
-    @classmethod
-    def from_lam_mu_coeffs(cls, coeffs: Mapping[tuple[int, int], Fraction]) -> "BivariatePoly":
-        return cls({(i, j): c for (i, j), c in coeffs.items()})
-
     def lam_valuation(self) -> int:
         return self.valuation_in("lam")
 
@@ -366,10 +361,6 @@ def make_poly(variables: Sequence[str], terms) -> MultivariatePoly:
     if tuple(variables) == PENCIL_VARS:
         return BivariatePoly(terms)
     return MultivariatePoly(variables, terms)
-
-
-def bivariate(terms: Mapping[tuple[int, int], Fraction] | None = None) -> BivariatePoly:
-    return BivariatePoly(terms)
 
 
 LAM = BivariatePoly({(1, 0): Fraction(1)})
@@ -536,86 +527,36 @@ def squarefree_decomposition(p: UnivariatePoly) -> list[tuple[UnivariatePoly, in
     return out
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int, rng: random.Random) -> int:
-    while True:
-        c = rng.randrange(1, n)
-        f = lambda x: (x * x + c) % n
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = f(x)
-            y = f(f(y))
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-
-
 def _factorize(n: int) -> dict[int, int]:
-    n = abs(n)
-    out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)
-    w = 0
-    while d * d <= n and d < 1_000_00:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += wheel[w]
-        w = (w + 1) % 8
-    if n == 1:
-        return out
-    rng = random.Random(0xF1A7)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return out
+    """Prime factorisation {p: k} of |n|, by sympy; no library code calls it.
+
+    perfbench/make_pools.py imports it to count the divisors of end
+    coefficients; it goes when that script counts them itself.
+    """
+    from sympy import factorint
+
+    return factorint(abs(n))
 
 
-def _divisors(n: int) -> list[int]:
-    facs = _factorize(n)
-    divs = [1]
-    for p, k in facs.items():
-        divs = [d * p**e for d in divs for e in range(k + 1)]
-    return divs
+def _eval_mod(coeffs: list[int], x: int, m: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def _rational_roots_of_squarefree(p: UnivariatePoly) -> list[Fraction]:
-    """All rational roots of a squarefree polynomial, found exactly."""
+    """All rational roots of a squarefree polynomial, found exactly by p-adic lifting.
+
+    Let f = a_0 + ... + a_n x^n be the primitive integer multiple of p with
+    x^k divided out (Loos 1983).  The prime q is the smallest one with q not
+    dividing a_n and f'(r) != 0 mod q at every root r of f mod q; it exists
+    because f is squarefree.  A rational root u/v in lowest terms has v | a_n,
+    so it reduces to one of those simple roots mod q, which Newton lifting
+    extends uniquely to a root mod q^(2^j) > 2|a_0||a_n|.  Rational
+    reconstruction with |u| <= |a_0| and 0 < v <= |a_n| is unique under that
+    bound, and a candidate is kept only if f(u/v) = 0 exactly.
+    """
     if p.degree < 1:
         return []
     denom = math.lcm(*(c.denominator for c in p.coeffs))
@@ -632,22 +573,29 @@ def _rational_roots_of_squarefree(p: UnivariatePoly) -> list[Fraction]:
     if len(ints) <= 1:
         return roots
     a0, an = abs(ints[0]), abs(ints[-1])
-    p_int = UnivariatePoly(ints)
-    p1, pm1 = p_int(1), p_int(-1)
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            if math.gcd(num, den) != 1:
-                continue
-            # cheap filters: (num - den) | p(1) and (num + den) | p(-1)
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                pq = cand.numerator
-                if p1 != 0 and (pq - den) != 0 and p1 % (pq - den) != 0:
-                    continue
-                if pm1 != 0 and (pq + den) != 0 and pm1 % (pq + den) != 0:
-                    continue
-                if p_int(cand) == 0:
-                    roots.append(cand)
-    return sorted(set(roots))
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    q = 1
+    while True:
+        q += 1
+        if an % q == 0 or any(q % d == 0 for d in range(2, math.isqrt(q) + 1)):
+            continue
+        mod_roots = [r for r in range(q) if _eval_mod(ints, r, q) == 0]
+        if all(_eval_mod(deriv, r, q) for r in mod_roots):
+            break
+    f = UnivariatePoly(ints)
+    for r in mod_roots:
+        m = q
+        while m <= 2 * a0 * an:
+            m *= m
+            r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+        # extended Euclid on (m, r), stopped at the first remainder <= |a_0|
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > a0:
+            k = r0 // r1
+            r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+        if 0 < abs(t1) <= an and f(Fraction(r1, t1)) == 0:
+            roots.append(Fraction(r1, t1))
+    return sorted(roots)
 
 
 def uni_roots(p: UnivariatePoly) -> list[tuple[Fraction | ComplexApprox, int]]:

@@ -41,10 +41,6 @@ from .spectrum import (
 )
 
 
-def kronecker(a: RatMatrix, b: RatMatrix) -> RatMatrix:
-    return linalg.kron(a, b)
-
-
 def kronecker_swap_matrix(k: int, m: int) -> RatMatrix:
     """Permutation U with U (A (x) B) U^-1 = B (x) A for all k x k A, m x m B."""
     if k < 1 or m < 1:
@@ -168,7 +164,7 @@ def extended_cayley_check(
     chi = pencil_det(a, b)
     if chi.is_zero():
         raise DegeneratePencil("det(lam A + mu B) vanishes identically")
-    lhs = pencil_det(kronecker(a, c), kronecker(b, d))
+    lhs = pencil_det(linalg.kron(a, c), linalg.kron(b, d))
 
     # factor chi = lead * mu^(n-k) * prod (lam - t_i mu) with k = lam-degree
     p = [complex(0)] * (n + 1)
@@ -301,7 +297,7 @@ def tensor_char_check(
     mg = gram(g)
     m_fg = gram(fg)
     chi_tensor = pencil_det(m_fg, m_fg.transpose())
-    chi_kron = pencil_det(kronecker(mf, mg), kronecker(mf.transpose(), mg.transpose()))
+    chi_kron = pencil_det(linalg.kron(mf, mg), linalg.kron(mf.transpose(), mg.transpose()))
     exact_ok = chi_tensor.canonical() == chi_kron.canonical()
     numeric_err = 0.0
     numeric_ok = True

@@ -1,6 +1,8 @@
 import itertools
+import math
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,3 +237,93 @@ def test_pencil_det_zero_and_empty():
     z = RatMatrix.zero(2, 2)
     assert pencil_det(z, z).is_zero()
     assert pencil_det(RatMatrix([]), RatMatrix([])) == BivariatePoly({(0, 0): Q(1)})
+
+
+# ---------------------------------------------------------------------------
+# rational roots: independent oracles and edge cases
+
+
+def rational_roots(p):
+    """{root: multiplicity} over the exact (Fraction) roots uni_roots returns."""
+    got = {}
+    for r, m in uni_roots(p):
+        if isinstance(r, Q):
+            got[r] = got.get(r, 0) + m
+    return got
+
+
+def test_rational_roots_edge_cases():
+    # a_n = 36 rules out q = 2 and q = 3; 1/6 and 31/6 collide mod 5, so q = 7
+    p = UnivariatePoly([-1, 6]) * UnivariatePoly([-31, 6])
+    assert rational_roots(p) == {Q(1, 6): 1, Q(31, 6): 1}
+    # a factor x^k
+    p = UnivariatePoly([0, 0, 0, -3, 2])
+    assert dict(uni_roots(p)) == {Q(0): 3, Q(3, 2): 1}
+    assert dict(uni_roots(UnivariatePoly([0, 1]))) == {Q(0): 1}
+    # degree 1
+    assert uni_roots(UnivariatePoly([3, 7])) == [(Q(-3, 7), 1)]
+    # non-integer coefficients
+    p = (UnivariatePoly([Q(-1, 2), 1]) * UnivariatePoly([Q(2, 3), 1]) * UnivariatePoly([Q(1, 5), 0, 1])) * Q(5, 7)
+    assert rational_roots(p) == {Q(1, 2): 1, Q(-2, 3): 1}
+
+
+def test_rational_roots_planted_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    big = 10**12
+    rationals = st.builds(Q, st.integers(-big, big), st.integers(1, big))
+    # an irreducible quadratic x^2 + b x + c has b^2 < 4c
+    quadratic = st.integers(1, 10**6).flatmap(
+        lambda c: st.tuples(st.integers(-math.isqrt(4 * c - 1), math.isqrt(4 * c - 1)), st.just(c))
+    )
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(
+        roots=st.lists(rationals, min_size=1, max_size=4),
+        shifts=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 10**6), st.sampled_from([2, 3, 6])), max_size=3),
+        quadratics=st.lists(quadratic, max_size=2),
+        content=st.fractions().filter(lambda c: c != 0),
+    )
+    def check(roots, shifts, quadratics, content):
+        # shifted copies r + m k agree with r mod m, which rules out small primes
+        for i, k, m in shifts:
+            r = roots[i % len(roots)]
+            roots = roots + [r + m * k]
+        p = UnivariatePoly([content])
+        want = {}
+        for r in roots:
+            p = p * UnivariatePoly([-r.numerator, r.denominator])
+            want[r] = want.get(r, 0) + 1
+        for b, c in quadratics:
+            p = p * UnivariatePoly([c, b, 1])
+        assert rational_roots(p) == want
+
+    check()
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(8)
+    for _ in range(40):
+        p = UnivariatePoly([1])
+        for _ in range(rng.randint(1, 4)):
+            deg = rng.randint(1, 3)
+            p = p * UnivariatePoly([rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 30)])
+        want = {
+            Q(int(r.p), int(r.q)): m
+            for r, m in sympy.Poly([int(c) for c in reversed(p.coeffs)], x).ground_roots().items()
+        }
+        assert rational_roots(p) == want
+
+
+def test_worst_case_spectrum_report_unchanged(capsys):
+    # the degree-20 factor of this draw's pencil polynomial has 74-bit end
+    # coefficients with up to 10,125 divisors: the worst case for a search
+    # over divisor pairs
+    from functal import cli
+
+    fixture = Path(__file__).parent / "fixtures" / "spectrum_mat5_seed4.json"
+    assert cli.run(["spectrum", "--algebra", "mat:5", "--seed", "4", "--format", "json"]) == 0
+    assert capsys.readouterr().out == fixture.read_text()

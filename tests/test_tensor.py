@@ -6,7 +6,7 @@ import pytest
 from functal.algebra import direct_sum, mat, nilpotent_pair, tensor_product, unital_extension, ut
 from functal.errors import AlgebraMismatch, DegeneratePencil, NotType1
 from functal.functional import Alpha, Functional, gram, stab, trace_functional
-from functal.linalg import RatMatrix, det, inverse
+from functal.linalg import RatMatrix, det, inverse, kron
 from functal.poly import LAM, MU
 from functal.sampling import SamplerConfig
 from functal.spectrum import index
@@ -14,7 +14,6 @@ from functal.tensor import (
     IdentityReport,
     conjecture_probe,
     extended_cayley_check,
-    kronecker,
     kronecker_swap_matrix,
     mat_tensor_index_experiment,
     random_cayley_instances,
@@ -42,7 +41,7 @@ def rand_functional(alg, rng, lo=-20, hi=20):
 
 
 def test_kron_identity():
-    assert kronecker(RatMatrix.identity(2), RatMatrix.identity(3)) == RatMatrix.identity(6)
+    assert kron(RatMatrix.identity(2), RatMatrix.identity(3)) == RatMatrix.identity(6)
 
 
 def test_kron_mixed_product_and_inverse():
@@ -50,9 +49,9 @@ def test_kron_mixed_product_and_inverse():
     for _ in range(5):
         a, c = rand_matrix(rng, 2), rand_matrix(rng, 2)
         b, d = rand_matrix(rng, 3), rand_matrix(rng, 3)
-        assert kronecker(a, b) @ kronecker(c, d) == kronecker(a @ c, b @ d)
+        assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
         if det(a) != 0 and det(b) != 0:
-            assert kronecker(a, b) @ kronecker(inverse(a), inverse(b)) == RatMatrix.identity(6)
+            assert kron(a, b) @ kron(inverse(a), inverse(b)) == RatMatrix.identity(6)
 
 
 def test_det_kron_identity_random():
@@ -60,7 +59,7 @@ def test_det_kron_identity_random():
     for _ in range(10):
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         a, b = rand_matrix(rng, n), rand_matrix(rng, m)
-        assert det(kronecker(a, b)) == det(a) ** m * det(b) ** n
+        assert det(kron(a, b)) == det(a) ** m * det(b) ** n
 
 
 def test_swap_matrix_basics():
@@ -77,7 +76,7 @@ def test_swap_matrix_conjugates():
         k, m = rng.randint(1, 4), rng.randint(1, 4)
         a, b = rand_matrix(rng, k), rand_matrix(rng, m)
         u = kronecker_swap_matrix(k, m)
-        assert u @ kronecker(a, b) @ inverse(u) == kronecker(b, a)
+        assert u @ kron(a, b) @ inverse(u) == kron(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +91,7 @@ def test_cayley_identity_matrices():
     # both sides are (lam + mu)^4; check the left side explicitly
     from functal.poly import pencil_det
 
-    assert pencil_det(kronecker(i2, i2), kronecker(i2, i2)) == (LAM + MU) ** 4
+    assert pencil_det(kron(i2, i2), kron(i2, i2)) == (LAM + MU) ** 4
 
 
 def test_cayley_diagonal_example():
@@ -107,7 +106,7 @@ def test_cayley_diagonal_example():
     for g in (2, 3):
         for e in (5, 7):
             expected = expected * (LAM + Q(g * e) * MU)
-    assert pencil_det(kronecker(i2, i2), kronecker(b, d)) == expected
+    assert pencil_det(kron(i2, i2), kron(b, d)) == expected
 
 
 def test_cayley_batch_30():
@@ -140,7 +139,7 @@ def test_tensor_functional_values():
     fg = tensor_functional(ta, f, g)
     one = tuple(x * y for x in a.unity for y in b.unity)
     assert fg(one) == f(a.unity) * g(b.unity)
-    assert gram(fg) == kronecker(gram(f), gram(g))
+    assert gram(fg) == kron(gram(f), gram(g))
     zero = tensor_functional(ta, Functional.zero(a), g)
     assert all(c == 0 for c in zero.coords)
     with pytest.raises(AlgebraMismatch):
