@@ -1,11 +1,15 @@
 """Finite-dimensional associative algebras given by rational structure constants.
 
-An algebra is a labeled basis e_0..e_{n-1} together with the full table of
-products e_i * e_j expressed in coordinates.  All desk constructors live
-here: full matrix algebras, upper-triangular algebras, seaweed patterns,
-the two-step nilpotent family V*V -> W, unital extensions, tensor products,
-direct sums and opposites.  Validation checks associativity on every basis
-triple and reports the failing triples instead of raising.
+An algebra is a labeled basis e_0..e_{n-1} together with the table of
+products e_i * e_j.  Each cell of the table is sparse: the tuple of the
+ascending nonzero (k, c) pairs with e_i * e_j = sum of c * e_k, so a product
+of two matrix units is one pair and a zero product is ().  Dense coordinate
+cells appear only in the JSON document (`serialize_algebra`,
+`parse_algebra`).  All desk constructors live here: full matrix algebras,
+upper-triangular algebras, seaweed patterns, the two-step nilpotent family
+V*V -> W, unital extensions, tensor products, direct sums and opposites.
+Validation checks associativity on every basis triple and reports the
+failing triples instead of raising.
 """
 
 from __future__ import annotations
@@ -19,13 +23,46 @@ from .errors import AlgebraMismatch, AlgebraParseError, AssociativityViolation
 from .linalg import Vector, vec, vec_add, vec_is_zero, vec_scale
 from .scalars import rat, rat_str
 
+# ascending nonzero (k, c) pairs of one product e_i * e_j
+Cell = tuple[tuple[int, Fraction], ...]
+
+
+def sparse(coords) -> Cell:
+    """The cell of a dense coordinate vector."""
+    return tuple((k, c) for k, c in enumerate(vec(coords)) if c != 0)
+
+
+def dense(cell: Cell, n: int) -> Vector:
+    """The length-n coordinate vector of a cell."""
+    out = [Fraction(0)] * n
+    for k, c in cell:
+        out[k] = c
+    return tuple(out)
+
+
+def _check_cell(cell, n: int) -> Cell:
+    try:
+        pairs = tuple((k, rat(c)) for k, c in cell)
+    except TypeError as e:
+        raise ValueError(f"a cell is a tuple of (k, c) pairs: {cell!r}") from e
+    last = -1
+    for k, c in pairs:
+        if not isinstance(k, int) or not last < k < n:
+            raise ValueError(f"cell indices must ascend strictly within 0..{n - 1}: {cell!r}")
+        if c == 0:
+            raise ValueError(f"cell holds a zero coefficient: {cell!r}")
+        last = k
+    return pairs
+
 
 class Algebra:
     """Associative algebra over Q with a fixed labeled basis.
 
-    ``table[i][j]`` holds the coordinates of e_i * e_j.  Instances are
-    treated as immutable; construction does not validate associativity
-    (use :func:`validate` or :func:`parse_algebra`, which does).
+    ``table[i][j]`` is the cell of e_i * e_j: the ascending nonzero (k, c)
+    pairs of its coordinates (see :func:`sparse`); a malformed cell raises
+    ValueError.  Instances are treated as immutable; construction does not
+    validate associativity (use :func:`validate` or :func:`parse_algebra`,
+    which does).
     """
 
     def __init__(self, labels: Sequence[str], table, unity=None):
@@ -33,13 +70,11 @@ class Algebra:
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise ValueError("basis labels must be distinct")
-        self.table: tuple[tuple[Vector, ...], ...] = tuple(
-            tuple(vec(cell) for cell in row) for row in table
+        self.table: tuple[tuple[Cell, ...], ...] = tuple(
+            tuple(_check_cell(cell, n) for cell in row) for row in table
         )
-        if len(self.table) != n or any(
-            len(row) != n or any(len(cell) != n for cell in row) for row in self.table
-        ):
-            raise ValueError("structure table must be n x n cells of n coordinates")
+        if len(self.table) != n or any(len(row) != n for row in self.table):
+            raise ValueError("structure table must be n x n cells")
         self.unity: Vector | None = vec(unity) if unity is not None else None
         if self.unity is not None and len(self.unity) != n:
             raise ValueError("unity vector has wrong length")
@@ -63,11 +98,9 @@ class Algebra:
             for j, yj in enumerate(y):
                 if yj == 0:
                     continue
-                cell = row[j]
                 f = xi * yj
-                for k, ck in enumerate(cell):
-                    if ck != 0:
-                        out[k] += f * ck
+                for k, c in row[j]:
+                    out[k] += f * c
         return tuple(out)
 
     def element(self, coords) -> "AlgebraElement":
@@ -135,6 +168,15 @@ class Violation:
     detail: str
 
 
+def _combine(pairs: Cell, cell_of) -> dict[int, Fraction]:
+    """Nonzero coordinates of the sum of c * cell_of(p) over the (p, c) pairs."""
+    out: dict[int, Fraction] = {}
+    for p, c in pairs:
+        for k, d in cell_of(p):
+            out[k] = out.get(k, 0) + c * d
+    return {k: v for k, v in out.items() if v != 0}
+
+
 def validate(alg: Algebra) -> list[Violation]:
     """Check associativity on all basis triples; empty list means ok.
 
@@ -143,12 +185,12 @@ def validate(alg: Algebra) -> list[Violation]:
     """
     out: list[Violation] = []
     n = alg.dim
+    t = alg.table
     for i in range(n):
         for j in range(n):
-            left_ij = alg.table[i][j]
             for k in range(n):
-                left = alg.product_coords(left_ij, alg.basis_vector(k))
-                right = alg.product_coords(alg.basis_vector(i), alg.table[j][k])
+                left = _combine(t[i][j], lambda p: t[p][k])
+                right = _combine(t[j][k], lambda q: t[i][q])
                 if left != right:
                     out.append(
                         Violation(
@@ -179,27 +221,27 @@ def _matrix_unit_algebra(positions: list[tuple[int, int]], n: int) -> Algebra:
     index = {pos: k for k, pos in enumerate(positions)}
     dim = len(positions)
     labels = [f"E_{{{i + 1},{j + 1}}}" for i, j in positions]
-    zero = tuple(Fraction(0) for _ in range(dim))
     table = []
     for (i, j) in positions:
         row = []
         for (k, l) in positions:
-            if j == k:
-                target = index.get((i, l))
-                if target is None:
-                    raise ValueError(f"position set not closed: ({i},{l}) missing")
-                cell = list(zero)
-                cell[target] = Fraction(1)
-                row.append(tuple(cell))
+            if j != k:
+                row.append(())
+            elif (i, l) in index:
+                row.append(((index[(i, l)], Fraction(1)),))
             else:
-                row.append(zero)
-        table.append(tuple(row))
+                raise ValueError(f"position set not closed: ({i},{l}) missing")
+        table.append(row)
     unity = [Fraction(0)] * dim
     for d in range(n):
         if (d, d) in index:
             unity[index[(d, d)]] = Fraction(1)
     diag_complete = all((d, d) in index for d in range(n))
     return Algebra(labels, table, unity if diag_complete else None)
+
+
+def _shift(cell: Cell, offset: int) -> Cell:
+    return tuple((k + offset, c) for k, c in cell)
 
 
 def mat(n: int) -> Algebra:
@@ -276,16 +318,10 @@ def nilpotent_pair(b_tensor) -> Algebra:
     labels = [f"v{i + 1}" for i in range(k)] + (
         ["w"] if m == 1 else [f"w{i + 1}" for i in range(m)]
     )
-    zero = tuple(Fraction(0) for _ in range(dim))
-    table = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            if i < k and j < k:
-                row.append(tuple(Fraction(0) for _ in range(k)) + cells[i][j])
-            else:
-                row.append(zero)
-        table.append(tuple(row))
+    table = [
+        [_shift(sparse(cells[i][j]), k) if i < k and j < k else () for j in range(dim)]
+        for i in range(dim)
+    ]
     return Algebra(labels, table, None)
 
 
@@ -295,51 +331,26 @@ def unital_extension(alg: Algebra) -> Algebra:
         raise ValueError('label "one" already in use')
     n = alg.dim
     labels = ["one"] + list(alg.labels)
-    zero = tuple(Fraction(0) for _ in range(n + 1))
-
-    def ext(v: Vector) -> Vector:
-        return (Fraction(0),) + tuple(v)
-
-    def unit_vec(i: int) -> Vector:
-        return tuple(Fraction(1) if j == i else Fraction(0) for j in range(n + 1))
-
-    table = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            if i == 0:
-                row.append(unit_vec(j))
-            elif j == 0:
-                row.append(unit_vec(i))
-            else:
-                row.append(ext(alg.table[i - 1][j - 1]))
-        table.append(tuple(row))
-    return Algebra(labels, table, unit_vec(0))
+    table = [[((j, Fraction(1)),) for j in range(n + 1)]]
+    for i, row in enumerate(alg.table, start=1):
+        table.append([((i, Fraction(1)),)] + [_shift(cell, 1) for cell in row])
+    unity = (Fraction(1),) + (Fraction(0),) * n
+    return Algebra(labels, table, unity)
 
 
 def tensor_product(a: Algebra, b: Algebra) -> Algebra:
     """Tensor product with basis e_{i*m+j} = a_i (x) b_j (second index fastest)."""
-    n, m = a.dim, b.dim
-    dim = n * m
+    m = b.dim
     labels = [f"{la}⊗{lb}" for la in a.labels for lb in b.labels]
-    table = []
-    for i1 in range(n):
-        for j1 in range(m):
-            row = []
-            for i2 in range(n):
-                for j2 in range(m):
-                    ca = a.table[i1][i2]
-                    cb = b.table[j1][j2]
-                    cell = [Fraction(0)] * dim
-                    for k1, x in enumerate(ca):
-                        if x == 0:
-                            continue
-                        base = k1 * m
-                        for k2, y in enumerate(cb):
-                            if y != 0:
-                                cell[base + k2] = x * y
-                    row.append(tuple(cell))
-            table.append(tuple(row))
+    table = [
+        [
+            tuple((k1 * m + k2, x * y) for k1, x in ca for k2, y in cb)
+            for ca in row_a
+            for cb in row_b
+        ]
+        for row_a in a.table
+        for row_b in b.table
+    ]
     unity = None
     if a.unity is not None and b.unity is not None:
         unity = tuple(x * y for x in a.unity for y in b.unity)
@@ -354,18 +365,9 @@ def direct_sum(a: Algebra, b: Algebra) -> Algebra:
         while lb in labels:
             lb += "'"
         labels.append(lb)
-    zero = tuple(Fraction(0) for _ in range(n + m))
-    table = []
-    for i in range(n + m):
-        row = []
-        for j in range(n + m):
-            if i < n and j < n:
-                row.append(tuple(a.table[i][j]) + (Fraction(0),) * m)
-            elif i >= n and j >= n:
-                row.append((Fraction(0),) * n + tuple(b.table[i - n][j - n]))
-            else:
-                row.append(zero)
-        table.append(tuple(row))
+    table = [list(row) + [()] * m for row in a.table] + [
+        [()] * n + [_shift(cell, n) for cell in row] for row in b.table
+    ]
     unity = None
     if a.unity is not None and b.unity is not None:
         unity = tuple(a.unity) + tuple(b.unity)
@@ -388,7 +390,7 @@ def serialize_algebra(alg: Algebra) -> str:
     doc = {
         "dim": alg.dim,
         "basis": list(alg.labels),
-        "table": [[[rat_str(c) for c in cell] for cell in row] for row in alg.table],
+        "table": [[[rat_str(c) for c in dense(cell, alg.dim)] for cell in row] for row in alg.table],
         "unity": [rat_str(c) for c in alg.unity] if alg.unity is not None else None,
     }
     return json.dumps(doc, sort_keys=True, indent=2)
@@ -427,7 +429,7 @@ def parse_algebra(text: str) -> Algebra:
                     f"table entry ({i},{j}) has {len(cell)} coordinates, expected {n}"
                 )
     try:
-        alg = Algebra(labels, table, doc.get("unity"))
+        alg = Algebra(labels, [[sparse(cell) for cell in row] for row in table], doc.get("unity"))
     except (ValueError, TypeError) as e:
         raise AlgebraParseError(str(e)) from e
     violations = validate(alg)

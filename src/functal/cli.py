@@ -229,11 +229,9 @@ def _dispatch(args) -> int:
         for i, l in enumerate(alg.labels):
             row = []
             for j in range(alg.dim):
-                cell = alg.table[i][j]
                 parts = [
                     (f"{rat_str(c)}*" if c != 1 else "") + alg.labels[k]
-                    for k, c in enumerate(cell)
-                    if c != 0
+                    for k, c in alg.table[i][j]
                 ]
                 row.append("+".join(parts) if parts else "0")
             print(f"{l:>{width}} | " + "  ".join(row))

@@ -224,10 +224,8 @@ class Subspace:
 
 def gram(f: Functional) -> RatMatrix:
     """Pairing matrix with entry (i,j) = F(e_i e_j); linear in F."""
-    a = f.algebra
-    return RatMatrix(
-        [[vec_dot(f.coords, a.table[i][j]) for j in range(a.dim)] for i in range(a.dim)]
-    )
+    x = f.coords
+    return RatMatrix([[sum(x[k] * c for k, c in cell) for cell in row] for row in f.algebra.table])
 
 
 def b_form(f: Functional) -> RatMatrix:
@@ -263,13 +261,12 @@ def rank_gram(f: Functional) -> int:
 
 def is_multiplicative(f: Functional) -> bool:
     """True iff F(e_i e_j) = F(e_i) F(e_j) on all basis pairs."""
-    a = f.algebra
-    for i in range(a.dim):
-        fi = f.coords[i]
-        for j in range(a.dim):
-            if vec_dot(f.coords, a.table[i][j]) != fi * f.coords[j]:
-                return False
-    return True
+    x = f.coords
+    return all(
+        sum(x[k] * c for k, c in cell) == x[i] * x[j]
+        for i, row in enumerate(f.algebra.table)
+        for j, cell in enumerate(row)
+    )
 
 
 def subspace_product(u: Subspace, v: Subspace) -> Subspace:

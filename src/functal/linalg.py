@@ -10,6 +10,7 @@ directly.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import lcm
 from typing import Callable, Sequence
@@ -194,93 +195,57 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix([row[n:] for row in reduced[:n]])
 
 
-def _det_int_bareiss(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
+def _bareiss(m: list[list], zero, div: Callable):
+    """Single-step Bareiss elimination of a non-empty square matrix, in place.
+
+    Returns the determinant.  ``div(a, b)`` is the exact division of the
+    domain; the first step divides by nothing.
+    """
+    n = len(m)
     sign = 1
-    prev = 1
+    prev = None
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if m[k][k] == zero:
             for i in range(k + 1, n):
-                if m[i][k] != 0:
+                if m[i][k] != zero:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return zero
         pkk = m[k][k]
+        row_k = m[k]
         for i in range(k + 1, n):
-            mik = m[i][k]
             row_i = m[i]
-            row_k = m[k]
+            mik = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = (pkk * row_i[j] - mik * row_k[j]) // prev
-            row_i[k] = 0
+                elt = pkk * row_i[j] - mik * row_k[j]
+                row_i[j] = elt if prev is None else div(elt, prev)
+            row_i[k] = zero
         prev = pkk
-    return sign * m[n - 1][n - 1]
+    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
 
 
 def det(m: RatMatrix) -> Fraction:
     """Exact determinant of a rational matrix (0x0 gives 1)."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
-    scale = Fraction(1)
+    if m.rows == 0:
+        return Fraction(1)
+    scale = 1
     int_rows: list[list[int]] = []
     for row in m.data:
-        denom = lcm(*(x.denominator for x in row)) if row else 1
+        denom = lcm(*(x.denominator for x in row))
         scale *= denom
         int_rows.append([int(x * denom) for x in row])
-    return Fraction(_det_int_bareiss(int_rows), 1) / scale
+    return Fraction(_bareiss(int_rows, 0, operator.floordiv), scale)
 
 
-def ff_det(m, zero=None, one=None, exact_div: Callable | None = None):
-    """Fraction-free Bareiss determinant over an integral domain.
-
-    Accepts a RatMatrix (fast integer path) or a square list-of-lists whose
-    entries support +, -, * and exact division.  For non-Fraction entries an
-    ``exact_div(a, b)`` callable may be supplied; by default it tries the
-    ``exact_div`` method of the entries (used by the polynomial domain).
-    """
-    if isinstance(m, RatMatrix):
-        return det(m)
+def ff_det(m):
+    """Fraction-free Bareiss determinant of a non-empty square list-of-lists
+    of polynomials (entries with +, -, * and an ``exact_div`` method)."""
     n = len(m)
-    if n == 0:
-        if one is None:
-            raise ValueError("0x0 determinant over an unknown domain needs `one`")
-        return one
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
+    if n == 0 or any(len(row) != n for row in m):
+        raise ValueError("determinant needs a non-empty square matrix")
     first = m[0][0]
-    if isinstance(first, Fraction) or isinstance(first, int):
-        return det(RatMatrix(m))
-
-    if exact_div is None:
-        exact_div = lambda a, b: a.exact_div(b)
-    if zero is None:
-        zero = first - first
-    work = [list(row) for row in m]
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if work[k][k] == zero:
-            for i in range(k + 1, n):
-                if work[i][k] != zero:
-                    work[k], work[i] = work[i], work[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pkk = work[k][k]
-        for i in range(k + 1, n):
-            mik = work[i][k]
-            for j in range(k + 1, n):
-                elt = pkk * work[i][j] - mik * work[k][j]
-                if prev is not None:
-                    elt = exact_div(elt, prev)
-                work[i][j] = elt
-            work[i][k] = zero
-        prev = pkk
-    result = work[n - 1][n - 1]
-    return result if sign == 1 else -result
+    return _bareiss([list(row) for row in m], first - first, lambda a, b: a.exact_div(b))

@@ -663,15 +663,8 @@ def _interpolate(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction
 
 
 def symbolic_pencil_det(entries: list[list[MultivariatePoly]]) -> MultivariatePoly:
-    """Bareiss determinant of a square matrix of polynomials, exact."""
-    n = len(entries)
-    if n == 0:
-        raise ValueError("symbolic determinant of an empty matrix needs a domain")
-    zero = make_poly(entries[0][0].variables, {})
-    one = MultivariatePoly.constant(entries[0][0].variables, 1)
-    if n == 1:
-        return entries[0][0]
-    return linalg.ff_det(entries, zero=zero, one=one)
+    """Bareiss determinant of a non-empty square matrix of polynomials, exact."""
+    return linalg.ff_det(entries)
 
 
 def generalized_resultant(p: UnivariatePoly, q: UnivariatePoly) -> BivariatePoly:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import Algebra
+from .algebra import Algebra, dense, sparse
 from .errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, ZeroPolynomial
 from .functional import (
     ALPHA_INF,
@@ -89,13 +89,12 @@ def char_poly_symbolic(alg: Algebra, v: Subspace | None = None) -> MultivariateP
     variables = ("lam", "mu") + alg.labels
     n = alg.dim
 
-    def cell_poly(coords: Vector) -> MultivariatePoly:
+    def cell_poly(cell) -> MultivariatePoly:
         terms = {}
-        for k, c in enumerate(coords):
-            if c != 0:
-                exp = [0] * len(variables)
-                exp[2 + k] = 1
-                terms[tuple(exp)] = c
+        for k, c in cell:
+            exp = [0] * len(variables)
+            exp[2 + k] = 1
+            terms[tuple(exp)] = c
         return make_poly(variables, terms)
 
     sym = [[cell_poly(alg.table[i][j]) for j in range(n)] for i in range(n)]
@@ -581,10 +580,7 @@ def quotient_by_nil(alg: Algebra, f: Functional) -> tuple[Algebra, Functional]:
         return tuple(x[i] for i in keep)
 
     labels = [alg.labels[i] for i in keep]
-    table = [
-        [project(alg.table[i][j]) for j in keep]
-        for i in keep
-    ]
+    table = [[sparse(project(dense(alg.table[i][j], alg.dim))) for j in keep] for i in keep]
     unity = project(alg.unity) if alg.unity is not None else None
     q_alg = Algebra(labels, table, unity)
     q_f = Functional(q_alg, tuple(f.coords[i] for i in keep))

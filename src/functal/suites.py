@@ -1,11 +1,11 @@
-"""Named invariant suites over a small desk corpus of algebras.
+"""Named invariant suites over the example corpus of `gallery.py`.
 
 Each suite returns a SuiteReport with one CheckResult per invariant
-instance; the CLI `verify` command runs them by name.  The corpus mixes the
-worked desk examples (matrix algebras, upper-triangular algebras, seaweed
-patterns, two-step nilpotent pairs and their unital extensions, tensor
-products) with seeded random functionals, so every failure is reproducible
-from the reported seed.
+instance; the CLI `verify` command runs them by name.  Each suite call builds
+the corpus once.  The suites mix the worked desk examples (matrix algebras,
+upper-triangular algebras, seaweed patterns, two-step nilpotent pairs and
+their unital extensions, tensor products) with seeded random functionals, so
+every failure is reproducible from the reported seed.
 """
 
 from __future__ import annotations
@@ -27,14 +27,15 @@ from .functional import (
     rank_gram,
     stab,
     subspace_product,
+    trace_functional,
     vanishes_on,
 )
-from .linalg import RatMatrix, det, kron
-from .sampling import SamplerConfig, sample_functionals
+from .gallery import gallery_algebras
+from .linalg import RatMatrix, det, inverse, kron
+from .sampling import SamplerConfig
 from .spectrum import (
     CheckResult,
-    char_poly_raw,
-    char_poly_symbolic,
+    SpectrumReport,
     jordan_spaces,
     regularity_corollary_suite,
     spectrum,
@@ -49,48 +50,29 @@ from .tensor import (
     tensor_vk_suite,
 )
 
-# the invertible-and-generic coefficient matrix used for type-2 style pairs
-INVERTIBLE_B = [[1, 2, 0], [0, 1, 3], [5, 0, 1]]
-# block-antidiagonal coefficients whose pencil operator is not diagonalizable
-NONDIAG_B = [[0, 0, 2, 0], [0, 0, 1, 2], [1, 0, 0, 0], [0, 1, 0, 0]]
 
+def _rational_spectrum_pairs(
+    algs: dict[str, Algebra], seed: int
+) -> list[tuple[str, Functional, SpectrumReport]]:
+    """Type-1 pairs from the corpus whose full spectrum is exact rational.
 
-def desk_algebras() -> dict[str, Algebra]:
-    return {
-        "mat1": ac.mat(1),
-        "mat2": ac.mat(2),
-        "mat3": ac.mat(3),
-        "ut2": ac.ut(2),
-        "ut3": ac.ut(3),
-        "seaweed_12_21": ac.seaweed([1, 2], [2, 1]),
-        "seaweed_21_12": ac.seaweed([2, 1], [1, 2]),
-        "qq": ac.direct_sum(ac.mat(1), ac.mat(1)),
-        "ut2_tensor_ut2": ac.tensor_product(ac.ut(2), ac.ut(2)),
-        "nilpair_invertible": ac.nilpotent_pair(INVERTIBLE_B),
-        "unital_ext_nondiag": ac.unital_extension(ac.nilpotent_pair(NONDIAG_B)),
-    }
-
-
-def _rational_spectrum_pairs(seed: int) -> list[tuple[str, Functional]]:
-    """Type-1 desk pairs whose full spectrum is exact rational.
-
-    A random draw with chi = 0 is not type 1, so it is replaced by the next
-    draw from the same stream.
+    A random draw with chi = 0 (a degenerate spectrum) is not type 1, so it
+    is replaced by the next draw from the same stream.
     """
+    fixed = (
+        ("mat2/diag(1,2)", trace_functional(algs["mat2"], RatMatrix([[1, 0], [0, 2]]))),
+        ("mat3/diag(1,2,5)", trace_functional(algs["mat3"], RatMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 5]]))),
+    )
+    out = [(name, f, spectrum(f)) for name, f in fixed]
     rng = random.Random(seed)
-    out: list[tuple[str, Functional]] = []
-    m2 = ac.mat(2)
-    m3 = ac.mat(3)
-    from .functional import trace_functional
-
-    out.append(("mat2/diag(1,2)", trace_functional(m2, RatMatrix([[1, 0], [0, 2]]))))
-    out.append(("mat3/diag(1,2,5)", trace_functional(m3, RatMatrix([[1, 0, 0], [0, 2, 0], [0, 0, 5]]))))
     for name in ("ut2", "ut3", "seaweed_12_21", "seaweed_21_12", "ut2_tensor_ut2", "qq", "unital_ext_nondiag"):
-        alg = desk_algebras()[name]
-        f = Functional(alg, tuple(Fraction(rng.randint(1, 20)) for _ in range(alg.dim)))
-        while char_poly_raw(f).is_zero():
+        alg = algs[name]
+        while True:
             f = Functional(alg, tuple(Fraction(rng.randint(1, 20)) for _ in range(alg.dim)))
-        out.append((name, f))
+            rep = spectrum(f)
+            if not rep.degenerate:
+                break
+        out.append((name, f, rep))
     return out
 
 
@@ -101,9 +83,9 @@ def _check(checks: list[CheckResult], name: str, ok: bool, detail: str = ""):
 def stab_props_suite(seed: int = 0, samples: int = 4) -> SuiteReport:
     """Stabilizer product laws, dimension symmetry, unital vanishing, rank-1 law."""
     checks: list[CheckResult] = []
-    for name, f in _rational_spectrum_pairs(seed):
+    algs = gallery_algebras()
+    for name, f, rep in _rational_spectrum_pairs(algs, seed):
         alg = f.algebra
-        rep = spectrum(f)
         alphas = rep.exact_alphas()
         whole = Subspace.whole(alg)
         for a, b in itertools.product(alphas, repeat=2):
@@ -145,13 +127,13 @@ def stab_props_suite(seed: int = 0, samples: int = 4) -> SuiteReport:
     # gram is linear in F
     rng = random.Random(seed + 1)
     for name in ("mat2", "ut3", "seaweed_21_12"):
-        alg = desk_algebras()[name]
+        alg = algs[name]
         f = Functional(alg, tuple(Fraction(rng.randint(-20, 20)) for _ in range(alg.dim)))
         g = Functional(alg, tuple(Fraction(rng.randint(-20, 20)) for _ in range(alg.dim)))
         _check(checks, f"{name}: gram(F+G) = gram(F)+gram(G)", gram(f + g) == gram(f) + gram(g))
 
     # rank-1 <-> multiplicative on commutative unital examples
-    for name, alg in (("qq", desk_algebras()["qq"]), ("qqq", ac.direct_sum(desk_algebras()["qq"], ac.mat(1)))):
+    for name, alg in (("qq", algs["qq"]), ("qqq", ac.direct_sum(algs["qq"], algs["mat1"]))):
         unity = alg.unity
         for coords in itertools.product((0, 1), repeat=alg.dim):
             f = Functional(alg, tuple(Fraction(c) for c in coords))
@@ -181,9 +163,8 @@ def _vk_product_targets(a: Alpha, b: Alpha) -> Alpha | None:
 def vk_props_suite(seed: int = 0, samples: int = 4) -> SuiteReport:
     """Divisibility bounds, level products, base-point independence, completeness."""
     checks: list[CheckResult] = []
-    for name, f in _rational_spectrum_pairs(seed):
+    for name, f, rep in _rational_spectrum_pairs(gallery_algebras(), seed):
         alg = f.algebra
-        rep = spectrum(f)
         _check(checks, f"{name}: chi nonzero", not rep.degenerate)
         if rep.degenerate:
             continue
@@ -262,8 +243,6 @@ def cayley_suite(seed: int = 0, instances: int = 30, tol: float = 1e-6) -> Suite
     and the numeric factored-pencil substitution identity."""
     checks: list[CheckResult] = []
     rng = random.Random(seed)
-    from .linalg import inverse
-
     for trial in range(50):
         n = rng.randint(1, 4)
         m = rng.randint(1, 4)
@@ -299,7 +278,7 @@ def tensor_chi_suite(seed: int = 0, max_product_dim: int = 36) -> SuiteReport:
     """Exact agreement of the two chi routes on all desk pairs within budget."""
     checks: list[CheckResult] = []
     rng = random.Random(seed)
-    algs = desk_algebras()
+    algs = gallery_algebras()
     names = ["mat1", "mat2", "mat3", "ut2", "ut3", "seaweed_12_21", "seaweed_21_12"]
     for na, nb in itertools.product(names, repeat=2):
         a, b = algs[na], algs[nb]
@@ -321,8 +300,9 @@ def tensor_chi_suite(seed: int = 0, max_product_dim: int = 36) -> SuiteReport:
 
 def regular_corollaries_suite(seed: int = 0, samples: int = 8) -> SuiteReport:
     checks: list[CheckResult] = []
+    algs = gallery_algebras()
     for name in ("mat2", "mat3", "ut2", "ut3", "seaweed_12_21", "seaweed_21_12", "ut2_tensor_ut2", "qq"):
-        alg = desk_algebras()[name]
+        alg = algs[name]
         rep = regularity_corollary_suite(alg, SamplerConfig(seed=seed, samples=samples))
         for c in rep.checks:
             checks.append(CheckResult(f"{name}: {c.name}", c.passed, c.detail))
@@ -339,8 +319,7 @@ def tensor_stab_suite_all(seed: int = 0) -> SuiteReport:
         ("seaweed_21_12", "ut2"),
         ("qq", "ut2"),
     ]
-    algs = desk_algebras()
-    from .functional import trace_functional
+    algs = gallery_algebras()
 
     for na, nb in cases:
         a, b = algs[na], algs[nb]

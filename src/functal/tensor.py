@@ -120,22 +120,33 @@ def _numeric_poly_matmul(p, q, deg_p, deg_q):
 
 
 def _numeric_poly_det(mat, deg):
-    """Determinant of an m x m matrix of homogeneous float polynomials."""
+    """Determinant of an m x m matrix of homogeneous float polynomials.
+
+    Cofactor expansion along the top row.  A minor is fixed by its set of
+    columns (its rows are the bottom ones), so each of the 2^m minors is
+    expanded once instead of m! times; the float operations are the same.
+    """
     m = mat.shape[0]
     if m == 0:
         out = np.zeros(1, dtype=complex)
         out[0] = 1.0
         return out
-    if m == 1:
-        return mat[0, 0]
-    out = np.zeros(m * deg + 1, dtype=complex)
-    for j in range(m):
-        minor = np.delete(np.delete(mat, 0, axis=0), j, axis=1)
-        sub = _numeric_poly_det(minor, deg)
-        term = np.convolve(mat[0, j], sub)
-        sign = -1.0 if j % 2 else 1.0
-        out[: term.size] += sign * term
-    return out
+    done: dict[tuple[int, ...], np.ndarray] = {}
+
+    def minor_det(cols: tuple[int, ...]) -> np.ndarray:
+        row = m - len(cols)
+        if len(cols) == 1:
+            return mat[row, cols[0]]
+        if cols not in done:
+            out = np.zeros(len(cols) * deg + 1, dtype=complex)
+            for j, c in enumerate(cols):
+                term = np.convolve(mat[row, c], minor_det(cols[:j] + cols[j + 1:]))
+                sign = -1.0 if j % 2 else 1.0
+                out[: term.size] += sign * term
+            done[cols] = out
+        return done[cols]
+
+    return minor_det(tuple(range(m)))
 
 
 def _balance(m: RatMatrix) -> RatMatrix:

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,11 @@ from functal.algebra import (
     validate,
 )
 from functal.errors import AlgebraMismatch, AlgebraParseError, AssociativityViolation
+from functal.functional import Functional, gram
+from functal.gallery import gallery_algebras
+from functal.spectrum import quotient_by_nil
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def products_of(alg):
@@ -27,7 +34,7 @@ def products_of(alg):
     out = {}
     for i in range(alg.dim):
         for j in range(alg.dim):
-            cell = {k: c for k, c in enumerate(alg.table[i][j]) if c != 0}
+            cell = dict(alg.table[i][j])
             if cell:
                 out[(i, j)] = cell
     return out
@@ -230,8 +237,8 @@ def test_multiply_rejects_mixed_algebras():
 
 def test_validate_flags_perturbed_mat2():
     m2 = mat(2)
-    table = [[list(cell) for cell in row] for row in m2.table]
-    table[0][0][0] = Q(2)  # E11*E11 = 2 E11
+    table = [list(row) for row in m2.table]
+    table[0][0] = ((0, Q(2)),)  # E11*E11 = 2 E11
     bad = Algebra(m2.labels, table, None)
     violations = validate(bad)
     assert violations
@@ -304,8 +311,8 @@ def test_tensor_product_swap_is_a_basis_permutation():
 
     for p in range(n * m):
         for q in range(n * m):
-            for r in range(n * m):
-                assert ba.table[p][q][r] == ab.table[sigma(p)][sigma(q)][sigma(r)]
+            permuted = {sigma(r): c for r, c in ba.table[p][q]}
+            assert permuted == dict(ab.table[sigma(p)][sigma(q)])
 
 
 def test_direct_sum_and_opposite():
@@ -315,7 +322,7 @@ def test_direct_sum_and_opposite():
     assert opposite(opposite(mat(2))) == mat(2)
     # in the opposite of mat(2): b*c = E21 E12 = E22 = d
     op = opposite(mat(2))
-    assert op.table[1][2] == mat(2).basis_vector(3)
+    assert op.table[1][2] == ((3, Q(1)),)
     qq = direct_sum(mat(1), mat(1))
     assert qq.labels == ("E_{1,1}", "E_{1,1}'")
 
@@ -326,7 +333,8 @@ def test_direct_sum_and_opposite():
 
 
 def test_serialize_parse_round_trip():
-    for alg in (mat(2), ut(3), seaweed([2, 1], [1, 2]), nilpotent_pair([[0, 1], [1, 0]])):
+    small = (mat(2), ut(3), seaweed([2, 1], [1, 2]), nilpotent_pair([[0, 1], [1, 0]]))
+    for alg in (*small, *cell_format_algebras().values()):
         assert parse_algebra(serialize_algebra(alg)) == alg
 
 
@@ -377,3 +385,68 @@ def test_constructor_outputs_all_validate():
         opposite(seaweed([2, 1], [1, 2])),
     ):
         assert validate(alg) == []
+
+
+# ---------------------------------------------------------------------------
+# the sparse cell format
+# ---------------------------------------------------------------------------
+
+
+def cell_format_algebras():
+    """The example corpus plus larger and composite constructions."""
+    algs = dict(gallery_algebras())
+    ue = unital_extension(nilpotent_pair([[1, 0], [0, 0]]))
+    q_alg, _ = quotient_by_nil(ue, Functional(ue, (Q(-1), Q(2), Q(-1), Q(2))))
+    assert q_alg.dim == 3
+    algs.update(
+        {
+            "mat4": mat(4),
+            "seaweed_221_131": seaweed([2, 2, 1], [1, 3, 1]),
+            "mat2_tensor_ut3": tensor_product(mat(2), ut(3)),
+            "direct_sum_ut2_nilpair": direct_sum(ut(2), nilpotent_pair([[1, 2], [3, 4]])),
+            "unital_ext_seaweed_12_21": unital_extension(seaweed([1, 2], [2, 1])),
+            "nilpair_vector": nilpotent_pair([[[1, 0], [0, 2]], [[3, -1], [0, 0]]]),
+            "quotient_by_nil": q_alg,
+        }
+    )
+    return algs
+
+
+def test_serialized_documents_match_the_recorded_digests():
+    # SHA-256 of each serialize_algebra document, recorded from the dense-table code
+    expected = json.loads((FIXTURES / "serialized_algebras_sha256.json").read_text())
+    algs = cell_format_algebras()
+    assert sorted(algs) == sorted(expected)
+    for name, alg in algs.items():
+        digest = hashlib.sha256(serialize_algebra(alg).encode()).hexdigest()
+        assert digest == expected[name], name
+
+
+def test_gram_matches_the_dense_document():
+    # independent oracle: M[i][j] = sum_k F_k * table[i][j][k] over the JSON cells
+    rng = random.Random(12)
+    for name, alg in cell_format_algebras().items():
+        doc = json.loads(serialize_algebra(alg))
+        f = Functional(alg, tuple(Q(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(alg.dim)))
+        expected = [
+            [sum(x * Q(c) for x, c in zip(f.coords, cell)) for cell in row] for row in doc["table"]
+        ]
+        assert gram(f).data == tuple(tuple(row) for row in expected), name
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        ((2, Q(1)),),  # index equal to n
+        ((-1, Q(1)),),  # negative index
+        ((0, Q(0)),),  # zero coefficient
+        ((1, Q(1)), (1, Q(2))),  # repeated index
+        ((1, Q(1)), (0, Q(2))),  # unsorted indices
+        (Q(1), Q(0)),  # a dense coordinate vector
+    ],
+)
+def test_constructor_rejects_malformed_cells(cell):
+    table = [[(), ()], [(), cell]]
+    with pytest.raises(ValueError):
+        Algebra(["x", "y"], table)
+    assert Algebra(["x", "y"], [[(), ()], [(), ((1, 1),)]]).table[1][1] == ((1, Q(1)),)

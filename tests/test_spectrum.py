@@ -396,9 +396,7 @@ def test_quotient_by_nil_shared_column():
     # every product of this two-step algebra lands inside the nil space, so
     # the quotient multiplication is zero; the induced pencil on a complement
     # is reached through char_poly(f, V) instead (see the classify test)
-    assert all(
-        all(c == 0 for c in q_alg.table[i][j]) for i in range(2) for j in range(2)
-    )
+    assert all(q_alg.table[i][j] == () for i in range(2) for j in range(2))
 
 
 def test_quotient_by_nil_recovers_live_summand():
