@@ -86,9 +86,6 @@ class Algebra:
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
 
-    def label_index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def product_coords(self, x: Vector, y: Vector) -> Vector:
         out = [Fraction(0)] * self.dim
         for i, xi in enumerate(x):

@@ -22,9 +22,11 @@ from . import algebra as ac
 from .algebra import Algebra, parse_algebra, serialize_algebra, validate
 from .errors import (
     AlgebraParseError,
+    EnvelopeExceeded,
     FunctalError,
     NoRegularAlpha0,
     NotAnIdeal,
+    NotMatrixAlgebra,
     NotType1,
     ZeroPolynomial,
 )
@@ -45,6 +47,7 @@ from .suites import SUITES, run_suite
 from .tensor import conjecture_probe, tensor_char_check, tensor_stab_suite
 
 ANALYSIS_ERRORS = (NoRegularAlpha0, NotType1, NotAnIdeal, ZeroPolynomial)
+INPUT_ERRORS = (AlgebraParseError, EnvelopeExceeded, NotMatrixAlgebra, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError)
 
 
 def load_algebra(spec: str) -> Algebra:
@@ -199,7 +202,7 @@ def run(argv: list[str] | None = None) -> int:
     except ANALYSIS_ERRORS as e:
         print(f"analysis refused: {e}", file=sys.stderr)
         return 1
-    except (AlgebraParseError, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError) as e:
+    except INPUT_ERRORS as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
     except FunctalError as e:

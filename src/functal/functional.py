@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 from . import algebra as alg_mod
 from .algebra import Algebra
 from .errors import AlgebraMismatch, NotMatrixAlgebra, SingularMatrix
-from .linalg import RatMatrix, Vector, kernel, rank, rref, vec, vec_dot, inverse, det
+from .linalg import RatMatrix, Vector, det, inverse, kernel, rank, rref, vec, vec_dot, vec_is_zero
 from .scalars import rat, rat_str
 
 
@@ -140,9 +140,13 @@ def trace_functional(algebra: Algebra, f_hat: RatMatrix) -> Functional:
 
 
 class Subspace:
-    """Linear subspace with a canonical reduced-echelon basis."""
+    """Linear subspace with a canonical reduced-echelon basis.
 
-    __slots__ = ("algebra", "basis")
+    ``pivots[k]`` is the pivot column of ``basis[k]``: its first nonzero
+    coordinate, which is 1 there and 0 in every other basis row.
+    """
+
+    __slots__ = ("algebra", "basis", "pivots")
 
     def __init__(self, algebra: Algebra, spanning: Sequence[Vector]):
         self.algebra = algebra
@@ -150,8 +154,7 @@ class Subspace:
         for v in rows:
             if len(v) != algebra.dim:
                 raise ValueError("vector length does not match algebra dimension")
-        reduced, _ = rref(rows) if rows else ((), ())
-        self.basis: tuple[Vector, ...] = reduced
+        self.basis, self.pivots = rref(rows)
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "Subspace":
@@ -168,36 +171,31 @@ class Subspace:
     def is_zero(self) -> bool:
         return not self.basis
 
+    def residue(self, v: Vector) -> Vector:
+        """v minus the basis combination that matches it at every pivot column."""
+        x = list(v)
+        for p, row in zip(self.pivots, self.basis):
+            c = x[p]
+            if c != 0:
+                x = [a - c * b for a, b in zip(x, row)]
+        return tuple(x)
+
     def contains(self, v: Vector) -> bool:
-        reduced, _ = rref(list(self.basis) + [vec(v)])
-        return len(reduced) == self.dim
+        return vec_is_zero(self.residue(vec(v)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        reduced, _ = rref(list(self.basis) + list(other.basis))
-        return len(reduced) == self.dim
+        return all(vec_is_zero(self.residue(w)) for w in other.basis)
 
     def sum_with(self, other: "Subspace") -> "Subspace":
         self._check(other)
         return Subspace(self.algebra, list(self.basis) + list(other.basis))
 
     def intersect(self, other: "Subspace") -> "Subspace":
+        """Zassenhaus: rows of rref((u | u), (w | 0)) with pivot >= n end in the intersection."""
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero(self.algebra)
         n = self.algebra.dim
-        cols: list[Vector] = list(self.basis) + [
-            tuple(-x for x in v) for v in other.basis
-        ]
-        m = RatMatrix([[cols[c][r] for c in range(len(cols))] for r in range(n)])
-        out = []
-        for k in kernel(m):
-            point = [Fraction(0)] * n
-            for c, u in zip(k[: self.dim], self.basis):
-                if c != 0:
-                    for r in range(n):
-                        point[r] += c * u[r]
-            out.append(tuple(point))
-        return Subspace(self.algebra, out)
+        reduced, pivots = rref([u + u for u in self.basis] + [w + (Fraction(0),) * n for w in other.basis])
+        return Subspace(self.algebra, [row[n:] for row, p in zip(reduced, pivots) if p >= n])
 
     def _check(self, other: "Subspace"):
         if self.algebra != other.algebra:

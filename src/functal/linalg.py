@@ -1,11 +1,14 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are immutable row-major tuples of Fraction entries.  Kernels come
-back as reduced-echelon bases, so a given column space always produces the
-same basis bit for bit.  Determinants use single-step Bareiss elimination:
-over the rationals the matrix is first scaled to integers row by row, over a
-polynomial domain the exact divisions of the Bareiss recurrence are used
-directly.
+Matrices are immutable row-major tuples of Fraction entries.  Every
+elimination is one fraction-free loop, `_eliminate` (single-step Bareiss,
+Math. Comp. 22, 1968), over the integers or over polynomials.  `det` scales
+the rows to integers and returns the signed last pivot over the scale.
+`rref` scales the rows, eliminates and back-substitutes over the integers;
+with d the last pivot, d times each reduced row is an integer row, so the
+only fractions are the final entries x/d (Nakos, Turner, Williams, SIGSAM
+Bull. 31, 1997).  Kernels come back as reduced-echelon bases, so a given row
+space always produces the same basis bit for bit.
 """
 
 from __future__ import annotations
@@ -126,38 +129,91 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix(out)
 
 
+def _integer_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those lcms."""
+    scale = 1
+    out: list[list[int]] = []
+    for row in rows:
+        denom = lcm(*(x.denominator for x in row))
+        scale *= denom
+        out.append([x.numerator * (denom // x.denominator) for x in row])
+    return out, scale
+
+
+def _eliminate(rows: list[list], zero, div: Callable) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) reduction of the rows to row echelon form, in place.
+
+    Columns without a pivot are skipped.  Returns the pivot columns and the
+    sign of the row permutation.  ``div(a, b)`` is the exact division of the
+    domain; every entry stays a minor of the input, and the last pivot is the
+    minor on the pivot rows and columns.
+    """
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if rows else 0
+    pivots: list[int] = []
+    sign = 1
+    prev = None
+    for c in range(n_cols):
+        r = len(pivots)
+        if r == n_rows:
+            break
+        if rows[r][c] == zero:
+            for i in range(r + 1, n_rows):
+                if rows[i][c] != zero:
+                    rows[r], rows[i] = rows[i], rows[r]
+                    sign = -sign
+                    break
+            else:
+                continue
+        row_r = rows[r]
+        p = row_r[c]
+        tail = row_r[c + 1 :]
+        for i in range(r + 1, n_rows):
+            row_i = rows[i]
+            m = row_i[c]
+            row_i[c] = zero
+            if prev is None:
+                row_i[c + 1 :] = [p * x - m * y for x, y in zip(row_i[c + 1 :], tail)]
+            else:
+                row_i[c + 1 :] = [div(p * x - m * y, prev) for x, y in zip(row_i[c + 1 :], tail)]
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
 def rref(rows: Sequence[Vector]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     """Reduced row echelon form of a list of vectors.
 
     Returns (nonzero rows, pivot column indices); deterministic for any
     spanning set of the same row space.
     """
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    out = tuple(tuple(row) for row in m[:r])
-    return out, tuple(pivots)
+    ints, _ = _integer_rows(rows)
+    pivots, _ = _eliminate(ints, 0, operator.floordiv)
+    if not pivots:
+        return (), ()
+    n_cols = len(ints[0])
+    free = [j for j in range(n_cols) if j not in pivots]
+    d = ints[len(pivots) - 1][pivots[-1]]
+    # scaled[k] holds d * (reduced row k) on the free columns
+    scaled: list[list[int]] = []
+    for k in range(len(pivots) - 1, -1, -1):
+        u = ints[k]
+        acc = [d * u[j] for j in free]
+        for p, x in zip(pivots[k + 1 :], reversed(scaled)):
+            c = u[p]
+            if c:
+                acc = [a - c * b for a, b in zip(acc, x)]
+        pk = u[pivots[k]]
+        scaled.append([a // pk for a in acc])
+    zero, one = Fraction(0), Fraction(1)
+    out = []
+    for p, x in zip(pivots, reversed(scaled)):
+        row = [zero] * n_cols
+        row[p] = one
+        for j, a in zip(free, x):
+            row[j] = Fraction(a, d) if a else zero
+        out.append(tuple(row))
+    return tuple(out), tuple(pivots)
 
 
 def kernel(m: RatMatrix) -> list[Vector]:
@@ -167,8 +223,7 @@ def kernel(m: RatMatrix) -> list[Vector]:
     pivot-column coefficients elsewhere; vectors are ordered by free column.
     """
     reduced, pivots = rref(m.data)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
+    free = [c for c in range(m.cols) if c not in pivots]
     basis: list[Vector] = []
     for f in free:
         v = [Fraction(0)] * m.cols
@@ -195,50 +250,17 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix([row[n:] for row in reduced[:n]])
 
 
-def _bareiss(m: list[list], zero, div: Callable):
-    """Single-step Bareiss elimination of a non-empty square matrix, in place.
-
-    Returns the determinant.  ``div(a, b)`` is the exact division of the
-    domain; the first step divides by nothing.
-    """
-    n = len(m)
-    sign = 1
-    prev = None
-    for k in range(n - 1):
-        if m[k][k] == zero:
-            for i in range(k + 1, n):
-                if m[i][k] != zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        pkk = m[k][k]
-        row_k = m[k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            mik = row_i[k]
-            for j in range(k + 1, n):
-                elt = pkk * row_i[j] - mik * row_k[j]
-                row_i[j] = elt if prev is None else div(elt, prev)
-            row_i[k] = zero
-        prev = pkk
-    return m[n - 1][n - 1] if sign == 1 else -m[n - 1][n - 1]
-
-
 def det(m: RatMatrix) -> Fraction:
     """Exact determinant of a rational matrix (0x0 gives 1)."""
     if not m.is_square():
         raise ValueError("determinant of a non-square matrix")
     if m.rows == 0:
         return Fraction(1)
-    scale = 1
-    int_rows: list[list[int]] = []
-    for row in m.data:
-        denom = lcm(*(x.denominator for x in row))
-        scale *= denom
-        int_rows.append([int(x * denom) for x in row])
-    return Fraction(_bareiss(int_rows, 0, operator.floordiv), scale)
+    ints, scale = _integer_rows(m.data)
+    pivots, sign = _eliminate(ints, 0, operator.floordiv)
+    if len(pivots) < m.rows:
+        return Fraction(0)
+    return Fraction(sign * ints[-1][-1], scale)
 
 
 def ff_det(m):
@@ -247,5 +269,9 @@ def ff_det(m):
     n = len(m)
     if n == 0 or any(len(row) != n for row in m):
         raise ValueError("determinant needs a non-empty square matrix")
-    first = m[0][0]
-    return _bareiss([list(row) for row in m], first - first, lambda a, b: a.exact_div(b))
+    zero = m[0][0] - m[0][0]
+    rows = [list(row) for row in m]
+    pivots, sign = _eliminate(rows, zero, lambda a, b: a.exact_div(b))
+    if len(pivots) < n:
+        return zero
+    return rows[-1][-1] if sign == 1 else -rows[-1][-1]

@@ -80,10 +80,6 @@ class MultivariatePoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def valuation_in(self, name: str) -> int:
         """Smallest exponent of `name` over all terms; 0 for the zero polynomial."""
         i = self.variables.index(name)
@@ -92,10 +88,6 @@ class MultivariatePoly:
     def degree_in(self, name: str) -> int:
         i = self.variables.index(name)
         return max((e[i] for e in self.terms), default=-1)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e) for e in self.terms}
-        return len(degrees) <= 1
 
     def leading(self) -> tuple[tuple[int, ...], Fraction]:
         if not self.terms:
@@ -660,11 +652,6 @@ def _interpolate(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction
                     new_basis[i] -= nodes[k] * basis[i]
             basis = new_basis
     return coeffs
-
-
-def symbolic_pencil_det(entries: list[list[MultivariatePoly]]) -> MultivariatePoly:
-    """Bareiss determinant of a non-empty square matrix of polynomials, exact."""
-    return linalg.ff_det(entries)
 
 
 def generalized_resultant(p: UnivariatePoly, q: UnivariatePoly) -> BivariatePoly:

@@ -23,6 +23,10 @@ class SamplerConfig:
     coeff_bound: int = 20
     workers: int = 1
 
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {self.samples}")
+
 
 def sample_functionals(alg: Algebra, cfg: SamplerConfig) -> list[Functional]:
     """Deterministic list of functionals with integer coordinates in [-bound, bound]."""

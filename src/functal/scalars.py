@@ -17,7 +17,10 @@ def rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
@@ -45,8 +48,3 @@ class ComplexApprox:
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
-
-    def close_to(self, other: "ComplexApprox", tol: float = 1e-8) -> bool:
-        return abs(self.as_complex() - other.as_complex()) <= tol * max(
-            1.0, abs(self.as_complex()), abs(other.as_complex())
-        )

@@ -35,14 +35,13 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import RatMatrix, Vector, det, inverse, kernel
+from .linalg import RatMatrix, Vector, det, ff_det, inverse, kernel
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
     UnivariatePoly,
     make_poly,
     pencil_det,
-    symbolic_pencil_det,
     uni_roots,
 )
 from .sampling import SamplerConfig, pmap, sample_functionals
@@ -116,7 +115,7 @@ def char_poly_symbolic(alg: Algebra, v: Subspace | None = None) -> MultivariateP
     pencil = [[lam * sym[i][j] + mu * sym[j][i] for j in range(size)] for i in range(size)]
     if size == 0:
         return MultivariatePoly.constant(variables, 1)
-    return symbolic_pencil_det(pencil)
+    return ff_det(pencil)
 
 
 def pencil_poly(f: Functional, v: Subspace | None = None) -> UnivariatePoly:
@@ -341,13 +340,7 @@ TYPE1, TYPE2, TYPE3 = "Type1", "Type2", "Type3"
 def canonical_complement(s: Subspace) -> Subspace:
     """Complement spanned by the standard vectors at the non-pivot coordinates."""
     alg = s.algebra
-    pivots = set()
-    for row in s.basis:
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots.add(c)
-                break
-    return Subspace(alg, [alg.basis_vector(i) for i in range(alg.dim) if i not in pivots])
+    return Subspace(alg, [alg.basis_vector(i) for i in range(alg.dim) if i not in s.pivots])
 
 
 @dataclass(frozen=True)
@@ -562,21 +555,10 @@ def quotient_by_nil(alg: Algebra, f: Functional) -> tuple[Algebra, Functional]:
                 alg.product_coords(e, v)
             ):
                 raise NotAnIdeal("nil space is not a two-sided ideal; cannot form the quotient")
-    pivots = []
-    for row in n_space.basis:
-        for c, x in enumerate(row):
-            if x != 0:
-                pivots.append(c)
-                break
-    keep = [i for i in range(alg.dim) if i not in set(pivots)]
+    keep = [i for i in range(alg.dim) if i not in n_space.pivots]
 
     def project(vec_x: Vector) -> Vector:
-        x = list(vec_x)
-        for p, row in zip(pivots, n_space.basis):
-            c = x[p]
-            if c != 0:
-                for r in range(alg.dim):
-                    x[r] -= c * row[r]
+        x = n_space.residue(vec_x)
         return tuple(x[i] for i in keep)
 
     labels = [alg.labels[i] for i in keep]

@@ -1,0 +1,154 @@
+"""The command line through `cli.run`: exit codes, one-line errors, JSON output."""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from functal import cli
+from functal.algebra import mat, ut
+from functal.functional import Alpha, stab
+from functal.sampling import SamplerConfig
+from functal.spectrum import classify, index, jordan_spaces, spectrum
+from functal.tensor import tensor_char_check, tensor_stab_suite
+
+# SHA-256 of the stdout of each command, recorded once before the elimination
+# kernel was rewritten; a refactor of the kernel or the suites keeps them
+DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "cli_output_sha256.json").read_text())
+
+
+def run(capsys, *argv):
+    code = cli.run(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def assert_one_line_error(err, *words):
+    assert err.endswith("\n") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    for w in words:
+        assert w in err
+
+
+@pytest.mark.parametrize(
+    "argv, words",
+    [
+        (["index", "--algebra", "mat:2", "--samples", "0"], ["input error", "--samples"]),
+        (["classify", "--algebra", "ut:3", "--samples", "-2"], ["input error", "--samples"]),
+        (["stab", "--algebra", "mat:2", "--alpha", "1/0"], ["input error", "zero denominator"]),
+        (["jordan", "--algebra", "mat:2", "--alpha=-3/0"], ["input error", "zero denominator"]),
+        (["spectrum", "--algebra", "mat:2", "--functional", '{"E_{1,1}": "1/0"}'], ["input error"]),
+        (["spectrum", "--algebra", "mat:2", "--functional", "diag:1,1/0"], ["input error"]),
+        (["spectrum", "--algebra", "ut:2", "--functional", "diag:1,2"], ["input error", "mat(n)"]),
+        (["chi", "--algebra", "mat:4", "--symbolic"], ["input error", "envelope"]),
+        (["spectrum", "--algebra", "mat:2", "--functional", '{"nope": 1}'], ["input error", "nope"]),
+        (["spectrum", "--algebra", "blob:3"], ["input error"]),
+        (["spectrum", "--algebra", "no-such-file.json"], ["input error"]),
+        (["verify", "no-such-suite"], ["no-such-suite"]),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(capsys, argv, words):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert_one_line_error(err, *words)
+
+
+def test_degenerate_spectrum_exits_1():
+    # the zero functional has chi = 0; the report still prints
+    code = cli.run(["spectrum", "--algebra", "ut:2", "--functional", "{}", "--format", "json"])
+    assert code == 1
+
+
+def test_refused_analysis_exits_1_with_one_line(capsys):
+    code, out, err = run(capsys, "jordan", "--algebra", "ut:2", "--functional", "{}", "--alpha", "1")
+    assert code == 1
+    assert out == ""
+    assert_one_line_error(err, "analysis refused")
+
+
+def test_sampler_config_rejects_empty_sample_counts():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="--samples"):
+            SamplerConfig(samples=n)
+    assert SamplerConfig(samples=1).samples == 1
+
+
+def _json(doc):
+    return json.loads(json.dumps(doc))
+
+
+def _stab_doc(f, alpha):
+    s = stab(f, Alpha.of(alpha))
+    return {"kind": "stab", "alpha": alpha, "dim": s.dim, "basis": [[str(c) for c in v] for v in s.basis]}
+
+
+def _jordan_doc(f, alpha):
+    jf = jordan_spaces(f, Alpha.of(alpha))
+    return {
+        "kind": "jordan",
+        "alpha": alpha,
+        "alpha0": str(jf.alpha0_used),
+        "levels": [
+            {"k": k + 1, "dim": s.dim, "basis": [[str(c) for c in v] for v in s.basis]}
+            for k, s in enumerate(jf.levels)
+        ],
+    }
+
+
+def _tensor_doc(fa, fb, seed):
+    return {
+        "chi_check": tensor_char_check(fa.algebra, fa, fb.algebra, fb, 1e-6).to_json_dict(),
+        "stab_suite": tensor_stab_suite(fa.algebra, fa, fb.algebra, fb, seed).to_json_dict(),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["spectrum", "--algebra", "mat:2", "--functional", "diag:1,2"],
+            lambda load: spectrum(load("mat:2", "diag:1,2")).to_json_dict(),
+        ),
+        (
+            ["index", "--algebra", "ut:3", "--seed", "4", "--samples", "3"],
+            lambda load: index(ut(3), SamplerConfig(seed=4, samples=3)).to_json_dict(),
+        ),
+        (
+            ["classify", "--algebra", "mat:2", "--seed", "1", "--samples", "2"],
+            lambda load: classify(mat(2), SamplerConfig(seed=1, samples=2)).to_json_dict(),
+        ),
+        (
+            ["stab", "--algebra", "mat:2", "--functional", "diag:1,2", "--alpha", "1/2"],
+            lambda load: _stab_doc(load("mat:2", "diag:1,2"), "1/2"),
+        ),
+        (
+            ["jordan", "--algebra", "ut:3", "--seed", "2", "--alpha", "inf"],
+            lambda load: _jordan_doc(load("ut:3", "random", 2), "inf"),
+        ),
+        (
+            ["tensor", "--algebra", "mat:2", "--algebra-b", "ut:2", "--seed", "3"],
+            lambda load: _tensor_doc(load("mat:2", "random", 3), load("ut:2", "random", 4), 3),
+        ),
+    ],
+)
+def test_json_output_round_trips_and_matches_the_library(capsys, argv, expected):
+    def load(spec, functional, seed=0):
+        return cli.load_functional(cli.load_algebra(spec), functional, seed)
+
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert json.dumps(doc, sort_keys=True) + "\n" == out
+    assert doc == _json(expected(load))
+    # the text format exits the same way
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and text and text != out
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_output_is_byte_identical_to_the_recorded_digest(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]

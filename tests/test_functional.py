@@ -349,3 +349,49 @@ def test_functional_from_dict_defaults_and_errors():
     assert f.coords == (Q(1, 2), Q(0), Q(0))
     with pytest.raises(ValueError):
         Functional.from_dict(u2, {"nope": 1})
+
+
+def test_subspace_pivots_and_intersection_against_sympy():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+
+    alg = ut(3)
+    n = alg.dim
+    vectors = st.lists(
+        st.lists(st.sampled_from([Q(0), Q(0), Q(0), Q(1), Q(-2), Q(1, 3)]), min_size=n, max_size=n).map(tuple),
+        max_size=5,
+    )
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(us=vectors, ws=vectors)
+    def check(us, ws):
+        u, w = Subspace(alg, us), Subspace(alg, ws)
+        for s in (u, w):
+            assert len(s.pivots) == s.dim
+            for k, (p, row) in enumerate(zip(s.pivots, s.basis)):
+                assert p == next(c for c, x in enumerate(row) if x != 0)
+                assert [b[p] for b in s.basis] == [Q(int(j == k)) for j in range(s.dim)]
+        # oracle: a with sum a_i u_i = sum b_j w_j, from the nullspace of (U | -W)
+        points = []
+        if us and ws:
+            rows = list(us) + [tuple(-x for x in v) for v in ws]
+            m = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in v] for v in rows]).T
+            for k in m.nullspace():
+                points.append(tuple(sum((Q(int(k[i].p), int(k[i].q)) * us[i][r] for i in range(len(us))), Q(0)) for r in range(n)))
+        expected = Subspace(alg, points)
+        assert u.intersect(w) == expected
+        assert w.intersect(u) == expected
+        assert expected.dim == u.dim + w.dim - u.sum_with(w).dim
+        # membership: v in u exactly when appending it keeps the sympy rank
+        for v in ws:
+            rows = [list(b) for b in u.basis] + [list(v)]
+            assert u.contains(v) == (sympy.Matrix(rows).rank() == u.dim)
+        assert u.contains_subspace(w) == (u.sum_with(w).dim == u.dim)
+        assert u.contains_subspace(expected) and w.contains_subspace(expected)
+
+    check()
+    # an intersection whose pivot is column 0, the first column of the right half
+    e = [alg.basis_vector(i) for i in range(n)]
+    both = Subspace(alg, [e[0], e[1]]).intersect(Subspace(alg, [e[0], e[2]]))
+    assert both == Subspace(alg, [e[0]]) and both.pivots == (0,)

@@ -148,3 +148,110 @@ def test_det_kron_small():
     a = RatMatrix([[1, 2], [3, 5]])
     b = RatMatrix([[2, 0, 1], [1, 1, 0], [0, 3, 1]])
     assert det(kron(a, b)) == det(a) ** 3 * det(b) ** 2
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy, and laws of the canonical form
+
+
+def _entry(rng):
+    return Q(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def _dense(rng, r, c):
+    return [[_entry(rng) for _ in range(c)] for _ in range(r)]
+
+
+def _product(rng, r, k, c):
+    # rank at most k: an r x k factor times a k x c factor
+    a, b = _dense(rng, r, k), _dense(rng, k, c)
+    return [[sum((a[i][l] * b[l][j] for l in range(k)), Q(0)) for j in range(c)] for i in range(r)]
+
+
+def sample_matrices(rng):
+    """Square, wide, tall, rank-deficient, with zero rows and columns, degenerate shapes."""
+    out = []
+    for _ in range(6):
+        n = rng.randint(1, 5)
+        out.append(_dense(rng, n, n))
+        out.append(_dense(rng, rng.randint(1, 3), rng.randint(4, 7)))
+        out.append(_dense(rng, rng.randint(4, 7), rng.randint(1, 3)))
+        r, c = rng.randint(2, 6), rng.randint(2, 6)
+        out.append(_product(rng, r, rng.randint(1, min(r, c) - 1), c))
+        out.append(_product(rng, n, max(1, n - 1), n))
+        m = _dense(rng, rng.randint(2, 5), rng.randint(2, 5))
+        m[rng.randrange(len(m))] = [Q(0)] * len(m[0])
+        out.append(m)
+        m = _product(rng, rng.randint(2, 5), 2, rng.randint(2, 5))
+        z = rng.randrange(len(m[0]))
+        out.append([row[:z] + [Q(0)] + row[z:] for row in m])
+        m = _dense(rng, n, n)
+        m[0][0] = Q(0)  # forces a row swap
+        out.append(m)
+        out.append(_dense(rng, 1, rng.randint(1, 6)))
+        out.append(_dense(rng, rng.randint(1, 6), 1))
+    out += [[[Q(0)] * 4 for _ in range(3)], [[Q(0), Q(1)], [Q(1), Q(0)]], [[Q(0)]]]
+    return out
+
+
+def test_kernel_rank_det_inverse_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(rows):
+        return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+    def from_sympy(x):
+        return Q(int(x.p), int(x.q))
+
+    for rows in sample_matrices(random.Random(6)):
+        m, s = RatMatrix(rows), to_sympy(rows)
+        reduced, pivots = rref(m.data)
+        s_reduced, s_pivots = s.rref()
+        assert pivots == s_pivots
+        assert [list(r) for r in reduced] == [
+            [from_sympy(x) for x in s_reduced.row(i)] for i in range(len(s_pivots))
+        ]
+        assert all(type(x) is Q for r in reduced for x in r)
+        assert kernel(m) == [tuple(from_sympy(x) for x in v) for v in s.nullspace()]
+        assert rank(m) == s.rank()
+        if m.is_square():
+            d = det(m)
+            assert d == from_sympy(s.det())
+            if d == 0:
+                with pytest.raises(SingularMatrix):
+                    inverse(m)
+            else:
+                inv = s.inv()
+                assert inverse(m) == RatMatrix([[from_sympy(inv[i, j]) for j in range(m.cols)] for i in range(m.rows)])
+    assert rref([]) == ((), ())
+    assert kernel(RatMatrix([])) == [] and rank(RatMatrix([])) == 0
+
+
+def _matrices(st, max_rows=5, max_cols=6):
+    entries = st.builds(Q, st.integers(-6, 6), st.integers(1, 4))
+    return st.integers(1, max_cols).flatmap(
+        lambda c: st.lists(st.lists(entries, min_size=c, max_size=c).map(tuple), min_size=1, max_size=max_rows)
+    )
+
+
+def test_rref_depends_only_on_the_row_space():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(rows=_matrices(st), data=st.data())
+    def check(rows, data):
+        nonzero = st.builds(Q, st.integers(-5, 5).filter(bool), st.integers(1, 5))
+        n = len(rows)
+        scales = data.draw(st.lists(nonzero, min_size=n, max_size=n))
+        out = [tuple(s * x for x in row) for s, row in zip(scales, rows)]
+        # replace rows by combinations with the other rows, then add combinations
+        for i, j, c in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), nonzero), max_size=4)):
+            if i != j:
+                out[i] = tuple(x + c * y for x, y in zip(out[i], out[j]))
+        for i, j, c in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), nonzero), max_size=2)):
+            out.append(tuple(x + c * y for x, y in zip(out[i], out[j])))
+        out = data.draw(st.permutations(out))
+        assert rref(out) == rref(rows)
+
+    check()
