@@ -27,6 +27,7 @@ from .functional import (
     is_multiplicative,
     is_nondegenerate,
     nil,
+    pencil_at,
     q_form,
     rank_gram,
     restrict_form,

@@ -399,6 +399,18 @@ def parse_algebra(text: str) -> Algebra:
     Shape problems raise AlgebraParseError naming the offending row; an
     associative check failure raises AssociativityViolation with the triple.
     """
+    alg = read_algebra(text)
+    violations = validate(alg)
+    if violations:
+        v = violations[0]
+        if v.kind == "associativity":
+            raise AssociativityViolation(v.triple)
+        raise AlgebraParseError(v.detail)
+    return alg
+
+
+def read_algebra(text: str) -> Algebra:
+    """Parse an algebra document, checking its shape but not its axioms."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -429,10 +441,4 @@ def parse_algebra(text: str) -> Algebra:
         alg = Algebra(labels, [[sparse(cell) for cell in row] for row in table], doc.get("unity"))
     except (ValueError, TypeError) as e:
         raise AlgebraParseError(str(e)) from e
-    violations = validate(alg)
-    if violations:
-        v = violations[0]
-        if v.kind == "associativity":
-            raise AssociativityViolation(v.triple)
-        raise AlgebraParseError(v.detail)
     return alg

@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import algebra as ac
-from .algebra import Algebra, parse_algebra, serialize_algebra, validate
+from .algebra import Algebra, parse_algebra, read_algebra, serialize_algebra, validate
 from .errors import (
     AlgebraParseError,
     EnvelopeExceeded,
@@ -241,7 +241,9 @@ def _dispatch(args) -> int:
         return 0
 
     if args.verb == "validate":
-        alg = load_algebra(args.algebra)
+        # a file is read unchecked, so that its violations are the report
+        path = Path(args.algebra)
+        alg = read_algebra(path.read_text()) if path.exists() else load_algebra(args.algebra)
         violations = validate(alg)
         if args.format == "json":
             print(

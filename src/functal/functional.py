@@ -103,6 +103,9 @@ class Functional:
         unknown = set(values) - set(algebra.labels)
         if unknown:
             raise ValueError(f"unknown basis labels: {sorted(unknown)}")
+        for l, x in values.items():
+            if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
+                raise ValueError(f"value of {l} must be an integer or a rational string, not {x!r}")
         return cls(algebra, tuple(rat(values.get(l, 0)) for l in algebra.labels))
 
     def __call__(self, x) -> Fraction:
@@ -238,15 +241,18 @@ def q_form(f: Functional) -> RatMatrix:
     return m + m.transpose()
 
 
+def pencil_at(m: RatMatrix, alpha) -> RatMatrix:
+    """The pencil M^T - alpha*M at a rational alpha, and M at alpha = infinity."""
+    alpha = Alpha.of(alpha)
+    if alpha.is_infinite:
+        return m
+    a = alpha.value
+    return RatMatrix([[x - a * y for x, y in zip(col, row)] for col, row in zip(zip(*m.data), m.data)])
+
+
 def stab(f: Functional, alpha) -> Subspace:
     """Stabilizer at alpha; see the module docstring for the convention."""
-    alpha = Alpha.of(alpha)
-    m = gram(f)
-    if alpha.is_infinite:
-        pencil = m
-    else:
-        pencil = m.transpose() - m.scale(alpha.value)
-    return Subspace(f.algebra, kernel(pencil))
+    return Subspace(f.algebra, kernel(pencil_at(gram(f), alpha)))
 
 
 def nil(f: Functional) -> Subspace:

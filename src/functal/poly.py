@@ -7,8 +7,14 @@ leading terms, normalization) is graded lexicographic, descending.
 The two-variable pencil polynomial det(lam*P + mu*Q) has its own subclass
 ``BivariatePoly`` with the fixed variable pair ("lam", "mu"); ``pencil_det``
 computes it exactly by interpolating the univariate slice det(t*P + Q) at
-t = 0..n and homogenizing.  Rational roots of univariate polynomials are
-found by p-adic lifting, without integer factorisation.
+t = 0..n and homogenizing, each node an integer matrix.
+
+From there to the roots the coefficients stay in Z: the squarefree
+decomposition runs Yun's algorithm (SYMSAC '76) on the primitive integer
+multiple, with primitive-PRS gcds (Brown, J. ACM 18, 1971) and exact integer
+division; rational roots are found by p-adic lifting, without integer
+factorisation, and divided out exactly over Z before the remaining factor,
+made monic, goes to a float root finder.
 """
 
 from __future__ import annotations
@@ -432,34 +438,11 @@ class UnivariatePoly:
             out = out * self
         return out
 
-    def __divmod__(self, other: "UnivariatePoly"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.leading()
-        while len(rem) - 1 >= d and any(c != 0 for c in rem):
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            k = len(rem) - 1 - d
-            f = rem[-1] / lead
-            q[k] = f
-            for i, c in enumerate(other.coeffs):
-                rem[k + i] -= f * c
-            rem.pop()
-        return UnivariatePoly(q), UnivariatePoly(rem)
-
     def monic(self) -> "UnivariatePoly":
         if self.is_zero():
             return self
         lead = self.leading()
         return UnivariatePoly([c / lead for c in self.coeffs])
-
-    def derivative(self) -> "UnivariatePoly":
-        return UnivariatePoly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def x_valuation(self) -> int:
         for i, c in enumerate(self.coeffs):
@@ -490,31 +473,89 @@ class UnivariatePoly:
         return f"UnivariatePoly({[str(c) for c in self.coeffs]})"
 
 
-def uni_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
-    while not b.is_zero():
-        _, r = divmod(a, b)
-        a, b = b, r
-    return a.monic() if not a.is_zero() else a
+# Integer polynomials: lists of ints, low to high, with no trailing zero.
+
+
+def _primitive(coeffs: Sequence) -> list[int]:
+    """The primitive integer multiple, leading coefficient > 0, of nonzero rational coefficients."""
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    ints = [c.numerator * (denom // c.denominator) for c in coeffs]
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if ints[-1] > 0 else [-c // g for c in ints]
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A remainder of lc(b)^k * a modulo b, for some k >= 0."""
+    r, lead, nb = list(a), b[-1], len(b)
+    while len(r) >= nb:
+        c = r.pop()
+        r = [lead * x for x in r]
+        for i, y in enumerate(b[:-1], len(r) - nb + 1):
+            r[i] -= c * y
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd, leading coefficient > 0, of a nonzero a and any b, by the primitive PRS."""
+    if len(a) < len(b):
+        a, b = b, a
+    a = _primitive(a)
+    while b:
+        b = _primitive(b)
+        a, b = b, _pseudo_remainder(a, b)
+    return a
+
+
+def _quotient(a: list[int], b: list[int]) -> list[int]:
+    """a / b over the integers; raises ArithmeticError unless b divides a exactly."""
+    r, lead, nb = list(a), b[-1], len(b)
+    q = [0] * (len(a) - nb + 1)
+    for k in reversed(range(len(q))):
+        c, rem = divmod(r[k + nb - 1], lead)
+        if rem:
+            raise ArithmeticError("inexact polynomial division")
+        q[k] = c
+        for i, y in enumerate(b, k):
+            r[i] -= c * y
+    if any(r):
+        raise ArithmeticError("inexact polynomial division")
+    return q
 
 
 def squarefree_decomposition(p: UnivariatePoly) -> list[tuple[UnivariatePoly, int]]:
-    """Yun decomposition: [(factor, multiplicity)] with factors squarefree, monic."""
+    """[(factor, multiplicity)]: p = c * prod factor^multiplicity, factors squarefree and monic.
+
+    Yun's algorithm (SYMSAC '76) on the primitive integer multiple f of p:
+    with a = gcd(f, f'), b = f/a and c = f'/a, each step takes
+    d = c - b', a = gcd(b, d) (the product of the factors of the next
+    multiplicity), then b = b/a and c = d/a.  The gcds are primitive PRS
+    (Brown, J. ACM 18, 1971), and by Gauss's lemma every division by a
+    primitive divisor is exact over the integers.  Multiplicities ascend.
+    """
     if p.is_zero():
         raise ZeroPolynomial("squarefree decomposition of zero")
-    p = p.monic()
     if p.degree == 0:
         return []
+    f = _primitive(p.coeffs)
+    df = _derivative(f)
+    a = _gcd(f, df)
+    b, c = _quotient(f, a), _quotient(df, a)
     out: list[tuple[UnivariatePoly, int]] = []
-    g = uni_gcd(p, p.derivative())
-    w, _ = divmod(p, g)
     i = 1
-    while w.degree > 0:
-        y = uni_gcd(w, g)
-        factor, _ = divmod(w, y)
-        if factor.degree > 0:
-            out.append((factor.monic(), i))
-        w = y
-        g, _ = divmod(g, y)
+    while len(b) > 1:
+        d = [x - y for x, y in zip(c, _derivative(b), strict=True)]
+        while d and d[-1] == 0:
+            d.pop()
+        a = _gcd(b, d)
+        b, c = _quotient(b, a), _quotient(d, a)
+        if len(a) > 1:
+            out.append((UnivariatePoly(a).monic(), i))
         i += 1
     return out
 
@@ -537,24 +578,18 @@ def _eval_mod(coeffs: list[int], x: int, m: int) -> int:
     return acc
 
 
-def _rational_roots_of_squarefree(p: UnivariatePoly) -> list[Fraction]:
-    """All rational roots of a squarefree polynomial, found exactly by p-adic lifting.
+def _rational_roots_of_squarefree(ints: list[int]) -> list[Fraction]:
+    """All rational roots of a squarefree integer polynomial, found exactly by p-adic lifting.
 
-    Let f = a_0 + ... + a_n x^n be the primitive integer multiple of p with
-    x^k divided out (Loos 1983).  The prime q is the smallest one with q not
-    dividing a_n and f'(r) != 0 mod q at every root r of f mod q; it exists
-    because f is squarefree.  A rational root u/v in lowest terms has v | a_n,
+    Let f = a_0 + ... + a_n x^n be the polynomial with x^k divided out
+    (Loos 1983).  The prime q is the smallest one with q not dividing a_n
+    and f'(r) != 0 mod q at every root r of f mod q; it exists because f is
+    squarefree.  A rational root u/v in lowest terms has v | a_n,
     so it reduces to one of those simple roots mod q, which Newton lifting
     extends uniquely to a root mod q^(2^j) > 2|a_0||a_n|.  Rational
     reconstruction with |u| <= |a_0| and 0 < v <= |a_n| is unique under that
     bound, and a candidate is kept only if f(u/v) = 0 exactly.
     """
-    if p.degree < 1:
-        return []
-    denom = math.lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * denom) for c in p.coeffs]
-    content = math.gcd(*ints)
-    ints = [c // content for c in ints]
     roots: list[Fraction] = []
     v = 0
     while ints[v] == 0:
@@ -565,7 +600,7 @@ def _rational_roots_of_squarefree(p: UnivariatePoly) -> list[Fraction]:
     if len(ints) <= 1:
         return roots
     a0, an = abs(ints[0]), abs(ints[-1])
-    deriv = [i * c for i, c in enumerate(ints)][1:]
+    deriv = _derivative(ints)
     q = 1
     while True:
         q += 1
@@ -600,15 +635,12 @@ def uni_roots(p: UnivariatePoly) -> list[tuple[Fraction | ComplexApprox, int]]:
         raise ZeroPolynomial("roots of the zero polynomial")
     out: list[tuple[Fraction | ComplexApprox, int]] = []
     for factor, mult in squarefree_decomposition(p):
-        rational = _rational_roots_of_squarefree(factor)
-        rest = factor
-        for r in rational:
-            rest, rem = divmod(rest, UnivariatePoly([-r, 1]))
-            if not rem.is_zero():
-                raise AssertionError("exact deflation failed")
+        rest = _primitive(factor.coeffs)
+        for r in _rational_roots_of_squarefree(rest):
+            rest = _quotient(rest, [-r.numerator, r.denominator])
             out.append((r, mult))
-        if rest.degree > 0:
-            cs = [float(c) for c in rest.coeffs]
+        if len(rest) > 1:
+            cs = [float(c) for c in UnivariatePoly(rest).monic().coeffs]
             for z in np.roots(list(reversed(cs))):
                 out.append((ComplexApprox.from_complex(complex(z)), mult))
     return out
@@ -618,15 +650,23 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     """Exact det(lam*P + mu*Q) for square rational P, Q of equal size.
 
     Computed by interpolating r(t) = det(t*P + Q) at t = 0..n and
-    homogenizing: chi(lam, mu) = sum r_k lam^k mu^(n-k).
+    homogenizing: chi(lam, mu) = sum r_k lam^k mu^(n-k).  With d the common
+    denominator of P and Q, each node is the integer matrix t*dP + dQ, and
+    r(t) is its determinant over d^n.
     """
     if not (p.is_square() and q.is_square() and p.rows == q.rows):
         raise ValueError("pencil_det needs equal square matrices")
     n = p.rows
     if n == 0:
         return BivariatePoly({(0, 0): Fraction(1)})
+    d = math.lcm(*(x.denominator for m in (p, q) for row in m.data for x in row))
+    ip, iq = ([[x.numerator * (d // x.denominator) for x in row] for row in m.data] for m in (p, q))
+    dn = d**n
     nodes = [Fraction(t) for t in range(n + 1)]
-    values = [linalg.det(p.scale(t) + q) for t in nodes]
+    values = [
+        linalg.det(RatMatrix([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)])) / dn
+        for t in range(n + 1)
+    ]
     coeffs = _interpolate(nodes, values)
     return BivariatePoly({(k, n - k): c for k, c in enumerate(coeffs) if c != 0})
 

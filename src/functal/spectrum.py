@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import Algebra, dense, sparse
-from .errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, ZeroPolynomial
+from .errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, SingularMatrix, ZeroPolynomial
 from .functional import (
     ALPHA_INF,
     Alpha,
@@ -31,6 +31,7 @@ from .functional import (
     Subspace,
     gram,
     nil,
+    pencil_at,
     restrict_form,
     stab,
     subspace_product,
@@ -217,8 +218,8 @@ def spectrum(f: Functional, v: Subspace | None = None) -> SpectrumReport:
     """
     n = v.dim if v is not None else f.algebra.dim
     gm = _pencil_matrix(f, v)
-    dim0 = len(kernel(gm.transpose()))
-    dim_inf = len(kernel(gm))
+    dim0 = len(kernel(pencil_at(gm, Alpha(0))))
+    dim_inf = len(kernel(pencil_at(gm, ALPHA_INF)))
     chi = pencil_det(gm, gm.transpose())
     if chi.is_zero():
         zero_e = SpectrumEntry(Alpha(0), 0, dim0, False)
@@ -232,7 +233,7 @@ def spectrum(f: Functional, v: Subspace | None = None) -> SpectrumReport:
     if core.degree > 0:
         for root, mult in uni_roots(core):
             if isinstance(root, Fraction):
-                d = len(kernel(gm.transpose() - gm.scale(root)))
+                d = len(kernel(pencil_at(gm, root)))
                 entries.append(SpectrumEntry(Alpha(root), mult, d, d == mult))
             else:
                 d = _numeric_kernel_dim(gm, root.as_complex())
@@ -286,13 +287,12 @@ def find_alpha0(f: Functional, avoid: Alpha | None = None) -> Fraction:
     the nil space first.
     """
     m = gram(f)
-    mt = m.transpose()
     tried = 0
     for cand in _alpha0_candidates(f.algebra.dim):
         if avoid is not None and not avoid.is_infinite and avoid.value == cand:
             continue
         tried += 1
-        if det(mt - m.scale(cand)) != 0:
+        if det(pencil_at(m, cand)) != 0:
             return cand
         if tried > f.algebra.dim + 1:
             break
@@ -311,10 +311,11 @@ def jordan_spaces(f: Functional, alpha, alpha0=None) -> JordanFiltration:
         alpha0 = Fraction(alpha0)
         if not alpha.is_infinite and alpha.value == alpha0:
             raise ValueError("alpha0 must differ from alpha")
-        if det(m.transpose() - m.scale(alpha0)) == 0:
-            raise NoRegularAlpha0(f"pencil is singular at alpha0={alpha0}")
+    try:
+        k_op = inverse(pencil_at(m, alpha0)) @ m
+    except SingularMatrix:
+        raise NoRegularAlpha0(f"pencil is singular at alpha0={alpha0}") from None
     n = f.algebra.dim
-    k_op = inverse(m.transpose() - m.scale(alpha0)) @ m
     theta = Fraction(0) if alpha.is_infinite else 1 / (alpha.value - alpha0)
     t = k_op - RatMatrix.identity(n).scale(theta)
     levels: list[Subspace] = []

@@ -24,6 +24,7 @@ from .functional import (
     Subspace,
     gram,
     is_multiplicative,
+    pencil_at,
     rank_gram,
     stab,
     subspace_product,
@@ -189,7 +190,7 @@ def vk_props_suite(seed: int = 0, samples: int = 4) -> SuiteReport:
         m = gram(f)
         alt_a0 = None
         for cand in cands:
-            if cand != jf.alpha0_used and det(m.transpose() - m.scale(cand)) != 0:
+            if cand != jf.alpha0_used and det(pencil_at(m, cand)) != 0:
                 alt_a0 = cand
                 break
         if alt_a0 is not None:

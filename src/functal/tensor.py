@@ -10,7 +10,9 @@ Exact facts exercised here:
   Kronecker blocks;
 * det(lam A (x) C + mu B (x) D) equals det of the matrix-substituted
   pencil polynomial of (A, B) evaluated at (lam C, mu D), checked
-  numerically because the substitution needs the pencil's linear factors.
+  numerically because the substitution needs the pencil's linear factors:
+  the right side is evaluated at nm + 1 points of the unit circle, one
+  float determinant each, and its coefficients are recovered by an FFT.
 """
 
 from __future__ import annotations
@@ -100,55 +102,6 @@ def _float_matrix(m: RatMatrix) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in m.data], dtype=complex)
 
 
-def _numeric_poly_matmul(p, q, deg_p, deg_q):
-    """Product of m x m matrices of homogeneous (lam, mu) float polynomials.
-
-    Entry polynomials are arrays indexed by the lam-degree.
-    """
-    m = p.shape[0]
-    out = np.zeros((m, m, deg_p + deg_q + 1), dtype=complex)
-    for i in range(m):
-        for k in range(m):
-            pik = p[i, k]
-            if not pik.any():
-                continue
-            for j in range(m):
-                qkj = q[k, j]
-                if qkj.any():
-                    out[i, j] += np.convolve(pik, qkj)
-    return out
-
-
-def _numeric_poly_det(mat, deg):
-    """Determinant of an m x m matrix of homogeneous float polynomials.
-
-    Cofactor expansion along the top row.  A minor is fixed by its set of
-    columns (its rows are the bottom ones), so each of the 2^m minors is
-    expanded once instead of m! times; the float operations are the same.
-    """
-    m = mat.shape[0]
-    if m == 0:
-        out = np.zeros(1, dtype=complex)
-        out[0] = 1.0
-        return out
-    done: dict[tuple[int, ...], np.ndarray] = {}
-
-    def minor_det(cols: tuple[int, ...]) -> np.ndarray:
-        row = m - len(cols)
-        if len(cols) == 1:
-            return mat[row, cols[0]]
-        if cols not in done:
-            out = np.zeros(len(cols) * deg + 1, dtype=complex)
-            for j, c in enumerate(cols):
-                term = np.convolve(mat[row, c], minor_det(cols[:j] + cols[j + 1:]))
-                sign = -1.0 if j % 2 else 1.0
-                out[: term.size] += sign * term
-            done[cols] = out
-        return done[cols]
-
-    return minor_det(tuple(range(m)))
-
-
 def _balance(m: RatMatrix) -> RatMatrix:
     scale = max((abs(x) for row in m.data for x in row), default=Fraction(1))
     if scale == 0:
@@ -162,12 +115,15 @@ def extended_cayley_check(
     """det(lam A(x)C + mu B(x)D) versus the factored pencil substitution.
 
     The left side is an exact bivariate determinant.  The right side uses
-    the linear-factor form of chi(lam, mu) = det(lam A + mu B): the factor
-    roots come from a float companion matrix, each factor is evaluated at
-    matrices (lam C, mu D), the factors are multiplied in ascending root
-    order, and the determinant coefficients are compared at the relative
-    tolerance.  Inputs are balanced by their max-entry scale first; the
-    identity is scale-covariant so the balanced instance is equivalent.
+    the linear-factor form chi(lam, mu) = det(lam A + mu B)
+    = lead * mu^(n-k) * prod (lam - t_i mu), with float roots t_i from a
+    companion matrix: at mu = 1 and lam = z it is
+    det(lead * D^(n-k) * prod (z C - t_i D)), the factors multiplied in
+    ascending root order.  Its coefficients are recovered from nm + 1 such
+    values on the unit circle by an FFT and compared with the left side's
+    at the relative tolerance.  Inputs are balanced by their max-entry scale
+    first; the identity is scale-covariant so the balanced instance is
+    equivalent.
     """
     a, b, c, d = _balance(a), _balance(b), _balance(c), _balance(d)
     n = a.rows
@@ -186,39 +142,21 @@ def extended_cayley_check(
     roots = np.roots(list(reversed(p[: deg + 1]))) if deg > 0 else np.array([])
     roots = np.sort_complex(roots)
 
+    # at mu = 1 the right side is a polynomial of degree <= nm in lam; its
+    # coefficients are the DFT of its values at the N = nm + 1 points
+    # z_k = exp(2 pi i k / N), divided by N
     cf = _float_matrix(c)
     df = _float_matrix(d)
-    eye = np.eye(m, dtype=complex)
-    # running product of linear matrix factors, entries indexed by lam-degree
-    acc = np.empty((m, m), dtype=object)
-    for i in range(m):
-        for j in range(m):
-            acc[i, j] = np.array([lead * eye[i, j]], dtype=complex)
-    deg_acc = 0
-    for _ in range(n - deg):
-        factor = np.empty((m, m), dtype=object)
-        for i in range(m):
-            for j in range(m):
-                factor[i, j] = np.array([df[i, j], 0.0], dtype=complex)
-        acc = _numeric_poly_matmul(acc, factor, deg_acc, 1)
-        deg_acc += 1
+    size = n * m + 1
+    z = np.exp(2j * np.pi * np.arange(size) / size)[:, None, None]
+    acc = np.broadcast_to(lead * np.linalg.matrix_power(df, n - deg), (size, m, m))
     for t in roots:
-        factor = np.empty((m, m), dtype=object)
-        for i in range(m):
-            for j in range(m):
-                factor[i, j] = np.array([-t * df[i, j], cf[i, j]], dtype=complex)
-        acc = _numeric_poly_matmul(acc, factor, deg_acc, 1)
-        deg_acc += 1
-    rhs_coeffs = _numeric_poly_det(_dense_stack(acc, deg_acc), deg_acc)
+        acc = acc @ (z * cf - t * df)
+    rc = np.fft.fft(np.linalg.det(acc)) / size
 
-    lhs_coeffs = np.zeros(n * m + 1, dtype=complex)
+    lc = np.zeros(size, dtype=complex)
     for (i, _j), coeff in lhs.terms.items():
-        lhs_coeffs[i] = complex(float(coeff))
-    pad = max(lhs_coeffs.size, rhs_coeffs.size)
-    lc = np.zeros(pad, dtype=complex)
-    rc = np.zeros(pad, dtype=complex)
-    lc[: lhs_coeffs.size] = lhs_coeffs
-    rc[: rhs_coeffs.size] = rhs_coeffs
+        lc[i] = complex(float(coeff))
     scale = max(1.0, float(np.max(np.abs(lc))), float(np.max(np.abs(rc))))
     max_err = float(np.max(np.abs(lc - rc)) / scale)
     ok = max_err <= tolerance
@@ -231,16 +169,6 @@ def extended_cayley_check(
         tolerance=tolerance,
         failing_instance=None if ok else json.dumps({"lhs": [str(x) for x in lc], "rhs": [str(x) for x in rc]}),
     )
-
-
-def _dense_stack(acc, deg) -> np.ndarray:
-    m = acc.shape[0]
-    out = np.zeros((m, m, deg + 1), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            arr = acc[i, j]
-            out[i, j, : arr.size] = arr
-    return out
 
 
 def random_cayley_instances(

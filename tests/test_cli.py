@@ -7,14 +7,17 @@ from pathlib import Path
 import pytest
 
 from functal import cli
-from functal.algebra import mat, ut
+from functal.algebra import mat, parse_algebra, serialize_algebra, ut
 from functal.functional import Alpha, stab
+from functal.gallery import JORDAN_BLOCK_B
 from functal.sampling import SamplerConfig
 from functal.spectrum import classify, index, jordan_spaces, spectrum
-from functal.tensor import tensor_char_check, tensor_stab_suite
+from functal.tensor import conjecture_probe, tensor_char_check, tensor_stab_suite
 
-# SHA-256 of the stdout of each command, recorded once before the elimination
-# kernel was rewritten; a refactor of the kernel or the suites keeps them
+# SHA-256 of the stdout of each command, each recorded once before a rewrite
+# it guards (the elimination kernel; the integer chi pipeline, whose spectra
+# of mat(4) and mat(2)xut(3) hand 12 and 4 irrational roots to np.roots); a
+# refactor keeps them
 DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "cli_output_sha256.json").read_text())
 
 
@@ -39,6 +42,9 @@ def assert_one_line_error(err, *words):
         (["stab", "--algebra", "mat:2", "--alpha", "1/0"], ["input error", "zero denominator"]),
         (["jordan", "--algebra", "mat:2", "--alpha=-3/0"], ["input error", "zero denominator"]),
         (["spectrum", "--algebra", "mat:2", "--functional", '{"E_{1,1}": "1/0"}'], ["input error"]),
+        (["spectrum", "--algebra", "mat:2", "--functional", '{"E_{1,1}": 1.5}'], ["input error", "E_{1,1}"]),
+        (["spectrum", "--algebra", "mat:2", "--functional", '{"E_{2,1}": null}'], ["input error", "E_{2,1}"]),
+        (["stab", "--algebra", "mat:2", "--functional", '{"E_{1,2}": true}', "--alpha", "1"], ["input error", "E_{1,2}"]),
         (["spectrum", "--algebra", "mat:2", "--functional", "diag:1,1/0"], ["input error"]),
         (["spectrum", "--algebra", "ut:2", "--functional", "diag:1,2"], ["input error", "mat(n)"]),
         (["chi", "--algebra", "mat:4", "--symbolic"], ["input error", "envelope"]),
@@ -152,3 +158,64 @@ def test_output_is_byte_identical_to_the_recorded_digest(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+
+
+def reserialises(out):
+    return json.dumps(json.loads(out), sort_keys=True) + "\n" == out
+
+
+@pytest.mark.parametrize("spec", ["mat:2", "ut:3", "seaweed:2,2,1;1,3,1"])
+def test_new_and_show_print_the_algebra_document(capsys, spec):
+    alg = cli.load_algebra(spec)
+    code, out, err = run(capsys, "new", "--algebra", spec)
+    assert code == 0 and err == ""
+    assert out == serialize_algebra(alg) + "\n"
+    assert serialize_algebra(parse_algebra(out)) + "\n" == out
+    code, shown, _ = run(capsys, "show", "--algebra", spec, "--format", "json")
+    assert code == 0 and shown == out
+    code, text, _ = run(capsys, "show", "--algebra", spec)
+    lines = text.splitlines()
+    assert code == 0 and lines[0] == f"dim {alg.dim}; unital: True" and len(lines) == alg.dim + 1
+
+
+def test_validate_exits_1_on_a_perturbed_table(capsys, tmp_path):
+    assert run(capsys, "validate", "--algebra", "mat:2") == (0, "ok\n", "")
+    code, out, _ = run(capsys, "validate", "--algebra", "mat:2", "--format", "json")
+    assert code == 0 and reserialises(out)
+    assert json.loads(out) == {"kind": "validation", "ok": True, "violations": []}
+    doc = json.loads(serialize_algebra(mat(2)))
+    doc["table"][0][0] = ["2", "0", "0", "0"]  # E11*E11 = 2 E11
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "validate", "--algebra", str(bad), "--format", "json")
+    assert code == 1 and err == "" and reserialises(out)
+    rep = json.loads(out)
+    assert not rep["ok"] and [0, 0, 1] in [v["triple"] for v in rep["violations"]]
+    code, text, _ = run(capsys, "validate", "--algebra", str(bad))
+    assert code == 1 and "(e0*e0)*e1 != e0*(e0*e1)" in text.splitlines()
+    # every other verb refuses the file as input
+    code, out, err = run(capsys, "spectrum", "--algebra", str(bad))
+    assert code == 2 and out == ""
+    assert_one_line_error(err, "input error", "(0, 0, 1)")
+
+
+def test_probe_exit_codes_and_json(capsys, tmp_path):
+    code, out, err = run(capsys, "probe", "--algebra", "mat:2", "--algebra-b", "ut:2", "--samples", "2", "--format", "json")
+    assert code == 0 and err == "" and reserialises(out)
+    assert json.loads(out) == _json(conjecture_probe(mat(2), ut(2), SamplerConfig(samples=2)).to_json_dict())
+    # a nilpotent Jordan block pair is of type 3, so the probe is refused
+    block = tmp_path / "block.json"
+    block.write_text(json.dumps(JORDAN_BLOCK_B))
+    code, out, err = run(capsys, "probe", "--algebra", "mat:1", "--algebra-b", f"abc0:{block}", "--samples", "2")
+    assert code == 1 and out == ""
+    assert_one_line_error(err, "analysis refused", "Type3")
+
+
+def test_gallery_writes_the_corpus(capsys, tmp_path):
+    code, out, err = run(capsys, "gallery", "--output-dir", str(tmp_path / "g"))
+    assert code == 0 and err == ""
+    files = sorted((tmp_path / "g").iterdir())
+    assert len(files) == 13
+    assert sorted(out.splitlines()) == [str(p) for p in files]
+    for p in files:
+        assert run(capsys, "new", "--algebra", str(p)) == (0, p.read_text(), "")

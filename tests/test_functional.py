@@ -17,6 +17,7 @@ from functal.functional import (
     is_multiplicative,
     is_nondegenerate,
     nil,
+    pencil_at,
     q_form,
     rank_gram,
     restrict_form,
@@ -141,6 +142,18 @@ def test_stab_seaweed_21_12_spanning_lists():
     assert stab(f, 0) == want0
     assert stab(f, ALPHA_INF) == want_inf
     assert stab(f, 1).basis == (sw.unity,)
+
+
+def test_pencil_at_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(12)
+    for n in (1, 2, 3, 4):
+        m = RatMatrix([[Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
+        sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(m[i, j].numerator, m[i, j].denominator))
+        for alpha in (Q(0), Q(1), Q(-3, 2), Q(5, 7), ALPHA_INF):
+            want = sm if alpha == ALPHA_INF else sm.T - sympy.Rational(alpha.numerator, alpha.denominator) * sm
+            got = pencil_at(m, alpha)
+            assert [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in got.data] == want.tolist()
 
 
 def test_stab_infinite_is_right_annihilator():
@@ -349,6 +362,10 @@ def test_functional_from_dict_defaults_and_errors():
     assert f.coords == (Q(1, 2), Q(0), Q(0))
     with pytest.raises(ValueError):
         Functional.from_dict(u2, {"nope": 1})
+    # JSON numbers that are not integers, null and booleans are refused by label
+    for bad in (1.5, None, True, False, [1]):
+        with pytest.raises(ValueError, match="E_{1,2}"):
+            Functional.from_dict(u2, {"E_{1,1}": 1, "E_{1,2}": bad})
 
 
 def test_subspace_pivots_and_intersection_against_sympy():

@@ -15,6 +15,8 @@ from functal.poly import (
     BivariatePoly,
     MultivariatePoly,
     UnivariatePoly,
+    _gcd,
+    _primitive,
     generalized_resultant,
     make_poly,
     pencil_det,
@@ -151,6 +153,87 @@ def test_squarefree_decomposition():
     assert sorted((f.coeffs, m) for f, m in dec) == sorted(
         [(UnivariatePoly([0, 1]).coeffs, 2), (UnivariatePoly([-1, 1]).coeffs, 3)]
     )
+
+
+def _sympy_poly(sympy, coeffs, x):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
+
+
+def _monic_coeffs(sp):
+    lead = sp.LC()
+    return tuple(Q(int(c.p), int(c.q)) for c in reversed([c / lead for c in sp.all_coeffs()]))
+
+
+def test_squarefree_decomposition_and_gcd_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(9)
+    for _ in range(60):
+        p = UnivariatePoly([Q(rng.randint(-9, 9) or 1, rng.randint(1, 9))])
+        for _ in range(rng.randint(1, 4)):
+            f = UnivariatePoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 9)])
+            p = p * f ** rng.randint(1, 4)
+        _, want = _sympy_poly(sympy, p.coeffs, x).sqf_list()
+        got = squarefree_decomposition(p)
+        assert [(f.coeffs, m) for f, m in got] == [(_monic_coeffs(f), m) for f, m in want]
+        # the gcd of p and a product sharing factors with it, against sympy's
+        # primitive part, leading coefficient > 0
+        q = UnivariatePoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(-9, -1)])
+        q = q * got[0][0] * rng.randint(2, 6)
+        k = rng.randint(1, 3)
+        a, b = [k * c for c in _primitive(p.coeffs)], _primitive(q.coeffs)
+        want_gcd = sympy.gcd(_sympy_poly(sympy, a, x), _sympy_poly(sympy, b, x)).primitive()[1]
+        assert _gcd(a, b) == [int(c) for c in reversed(want_gcd.all_coeffs())]
+
+
+def test_squarefree_decomposition_planted_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    rationals = st.builds(Q, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
+    # an irreducible quadratic x^2 + b x + c has b^2 < 4c
+    quadratic = st.integers(1, 10**4).flatmap(
+        lambda c: st.tuples(st.integers(-math.isqrt(4 * c - 1), math.isqrt(4 * c - 1)), st.just(c))
+    )
+    mult = st.integers(1, 5)
+
+    @hypothesis.settings(max_examples=80, deadline=None)
+    @hypothesis.given(
+        roots=st.dictionaries(rationals, mult, max_size=4),
+        quadratics=st.dictionaries(quadratic, mult, max_size=2),
+        k=st.integers(0, 5),
+        content=st.fractions().filter(lambda c: c != 0),
+    )
+    def check(roots, quadratics, k, content):
+        p = UnivariatePoly([content])
+        want: dict[int, UnivariatePoly] = {}
+        factors = [(UnivariatePoly([0, 1]), k)] + [(UnivariatePoly([-r, 1]), m) for r, m in roots.items()]
+        factors += [(UnivariatePoly([c, b, 1]), m) for (b, c), m in quadratics.items()]
+        for f, m in factors:
+            if m:
+                p = p * f**m
+                want[m] = want.get(m, UnivariatePoly([1])) * f
+        got = squarefree_decomposition(p)
+        assert [m for _, m in got] == sorted(want)
+        assert {m: f for f, m in got} == want
+
+    check()
+
+
+def test_pencil_det_matches_sympy_with_unrelated_denominators():
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    rng = random.Random(10)
+    for n in (1, 2, 3, 4, 5):
+        p, q = (
+            RatMatrix([[Q(rng.randint(-9, 9), rng.choice(dens)) for _ in range(n)] for _ in range(n)])
+            for dens in ((1, 2, 3, 7), (1, 5, 11, 13))
+        )
+        r = lambda x: sympy.Rational(x.numerator, x.denominator)
+        pencil = sympy.Matrix(n, n, lambda i, j: lam * r(p[i, j]) + mu * r(q[i, j]))
+        want = sympy.Poly(pencil.det(method="berkowitz"), lam, mu)
+        got = pencil_det(p, q)
+        assert got.terms == {e: Q(int(c.p), int(c.q)) for e, c in want.terms()}
 
 
 def test_generalized_resultant_linear():

@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction as Q
 
-import numpy as np
 import pytest
 
 from functal.algebra import direct_sum, mat, nilpotent_pair, tensor_product, unital_extension, ut
@@ -13,7 +12,6 @@ from functal.sampling import SamplerConfig
 from functal.spectrum import index
 from functal.tensor import (
     IdentityReport,
-    _numeric_poly_det,
     conjecture_probe,
     extended_cayley_check,
     kronecker_swap_matrix,
@@ -117,32 +115,24 @@ def test_cayley_batch_30():
     assert rep.max_relative_error < 1e-6
 
 
-def _cofactor_det(mat, deg):
-    # the plain m! cofactor expansion along the top row
-    m = mat.shape[0]
-    if m == 1:
-        return mat[0, 0]
-    out = np.zeros(m * deg + 1, dtype=complex)
-    for j in range(m):
-        minor = np.delete(np.delete(mat, 0, axis=0), j, axis=1)
-        term = np.convolve(mat[0, j], _cofactor_det(minor, deg))
-        out[: term.size] += (-1.0 if j % 2 else 1.0) * term
-    return out
+def test_cayley_evaluation_matches_the_exact_left_side():
+    # the right side, recovered by FFT from nm + 1 float determinants on the
+    # unit circle, must equal the exact det(lam A(x)C + mu B(x)D) to rounding;
+    # every third A is singular, so chi loses lam-degree and D^(n-k) counts
+    from functal.poly import pencil_det
 
-
-def test_numeric_poly_det_matches_cofactor_expansion_bit_for_bit():
-    rng = np.random.default_rng(7)
-    for m in range(1, 7):
-        deg = m % 3 + 1
-        mat = rng.normal(size=(m, m, deg + 1)) + 1j * rng.normal(size=(m, m, deg + 1))
-        mat[rng.random((m, m)) < 0.3] = 0
-        got = _numeric_poly_det(mat, deg)
-        assert got.shape == (m * deg + 1,) and np.array_equal(got, _cofactor_det(mat, deg))
-        # and it is the determinant: evaluate both at a point
-        t = 0.3 - 0.7j
-        powers = t ** np.arange(deg + 1)
-        assert np.isclose(np.polyval(got[::-1], t), np.linalg.det(mat @ powers))
-    assert np.array_equal(_numeric_poly_det(np.zeros((0, 0, 2), dtype=complex), 1), [1.0])
+    rng = random.Random(11)
+    checked = 0
+    while checked < 40:
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        a, b, c, d = (RatMatrix([[rng.randint(-5, 5) for _ in range(k)] for _ in range(k)]) for k in (n, n, m, m))
+        if checked % 3 == 0:
+            a = RatMatrix([[0] * n] + [list(row) for row in a.data[1:]])
+        if pencil_det(a, b).is_zero():
+            continue
+        rep = extended_cayley_check(a, b, c, d)
+        assert rep.pass_ and rep.max_relative_error < 1e-10, (a, b, c, d)
+        checked += 1
 
 
 def test_cayley_rejects_degenerate_pencil():
