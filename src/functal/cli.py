@@ -245,39 +245,18 @@ def _dispatch(args) -> int:
         path = Path(args.algebra)
         alg = read_algebra(path.read_text()) if path.exists() else load_algebra(args.algebra)
         violations = validate(alg)
-        if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "kind": "validation",
-                        "ok": not violations,
-                        "violations": [
-                            {"kind": v.kind, "triple": list(v.triple), "detail": v.detail}
-                            for v in violations
-                        ],
-                    },
-                    sort_keys=True,
-                )
-            )
-        else:
-            print("ok" if not violations else "\n".join(v.detail for v in violations))
+        doc = {
+            "kind": "validation",
+            "ok": not violations,
+            "violations": [{"kind": v.kind, "triple": list(v.triple), "detail": v.detail} for v in violations],
+        }
+        _emit(args, doc, "ok" if not violations else "\n".join(v.detail for v in violations))
         return 0 if not violations else 1
 
     if args.verb == "chi":
         alg = load_algebra(args.algebra)
-        if args.symbolic:
-            chi = char_poly_symbolic(alg)
-            if args.format == "json":
-                print(json.dumps(chi.to_json_dict()))
-            else:
-                print(chi.to_text())
-            return 0
-        f = load_functional(alg, args.functional, args.seed)
-        chi = char_poly(f)
-        if args.format == "json":
-            print(json.dumps(chi.to_json_dict()))
-        else:
-            print(chi.to_text())
+        chi = char_poly_symbolic(alg) if args.symbolic else char_poly(load_functional(alg, args.functional, args.seed))
+        print(json.dumps(chi.to_json_dict()) if args.format == "json" else chi.to_text())
         return 0
 
     if args.verb == "spectrum":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import algebra as alg_mod
@@ -198,7 +199,11 @@ class Subspace:
         self._check(other)
         n = self.algebra.dim
         reduced, pivots = rref([u + u for u in self.basis] + [w + (Fraction(0),) * n for w in other.basis])
-        return Subspace(self.algebra, [row[n:] for row, p in zip(reduced, pivots) if p >= n])
+        # those right halves are already a reduced echelon basis, with pivots p - n
+        out = object.__new__(Subspace)
+        out.algebra, out.pivots = self.algebra, tuple(p - n for p in pivots if p >= n)
+        out.basis = tuple(row[n:] for row, p in zip(reduced, pivots) if p >= n)
+        return out
 
     def _check(self, other: "Subspace"):
         if self.algebra != other.algebra:
@@ -242,12 +247,15 @@ def q_form(f: Functional) -> RatMatrix:
 
 
 def pencil_at(m: RatMatrix, alpha) -> RatMatrix:
-    """The pencil M^T - alpha*M at a rational alpha, and M at alpha = infinity."""
+    """c*(M^T - alpha*M) with integer entries, c = v*d for alpha = u/v in lowest
+    terms (v > 0) and d the lcm of M's denominators; d*M at alpha = infinity."""
     alpha = Alpha.of(alpha)
+    d = lcm(*(x.denominator for row in m.data for x in row))
     if alpha.is_infinite:
-        return m
-    a = alpha.value
-    return RatMatrix([[x - a * y for x, y in zip(col, row)] for col, row in zip(zip(*m.data), m.data)])
+        return m if d == 1 else m.scale(d)
+    ints = [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
+    u, v = alpha.value.numerator, alpha.value.denominator
+    return RatMatrix([[v * x - u * y for x, y in zip(col, row)] for col, row in zip(zip(*ints), ints)])
 
 
 def stab(f: Functional, alpha) -> Subspace:

@@ -9,21 +9,22 @@ alpha with stab(alpha) != 0, the order of the root x=alpha is the
 deficit of p.  The dimension of stab(alpha) never exceeds the multiplicity,
 and a functional is alpha-precise when the two agree.
 
-Jordan levels V_k(alpha) generalize stabilizers: with any base point alpha0
-at which the pencil is invertible, K = (M^T - alpha0*M)^-1 M and V_k(alpha)
-is the kernel of (K - I/(alpha - alpha0))^k (of K^k for alpha = infinity).
-The spaces do not depend on the choice of alpha0.
+Jordan levels V_k(alpha) generalize stabilizers.  With P = M^T - alpha*M (M
+at infinity) and B = M^T - alpha0*M regular, V_1 = ker P and V_{k+1} =
+{x : P x in B V_k}; that is ker (K - I/(alpha - alpha0))^k for K = B^-1 M
+(K^k at infinity), so the spaces do not depend on the base point alpha0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 import numpy as np
 
 from .algebra import Algebra, dense, sparse
-from .errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, SingularMatrix, ZeroPolynomial
+from .errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, ZeroPolynomial
 from .functional import (
     ALPHA_INF,
     Alpha,
@@ -36,7 +37,7 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import RatMatrix, Vector, det, ff_det, inverse, kernel
+from .linalg import RatMatrix, Vector, det, ff_det, kernel
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
@@ -301,8 +302,21 @@ def find_alpha0(f: Functional, avoid: Alpha | None = None) -> Fraction:
     )
 
 
+def _primitive_image(b: list[list[int]], w: Vector) -> list[int]:
+    """B*w as a primitive integer column, which keeps the kernel's integers small."""
+    d = lcm(*(x.denominator for x in w))
+    col = [sum(r * x.numerator * (d // x.denominator) for r, x in zip(row, w) if x) for row in b]
+    g = gcd(*col)
+    return [c // g for c in col]
+
+
 def jordan_spaces(f: Functional, alpha, alpha0=None) -> JordanFiltration:
-    """Ascending Jordan level spaces at alpha; V_1 is stab(alpha)."""
+    """Ascending Jordan level spaces at alpha; V_1 is stab(alpha).
+
+    V_{k+1} is the x-part of ker [P | B W_k] for a basis W_k of V_k, with P
+    and B the pencils at alpha and alpha0 (Gantmacher, The Theory of
+    Matrices, vol. 2, ch. XII).  A singular alpha0 raises NoRegularAlpha0.
+    """
     alpha = Alpha.of(alpha)
     m = gram(f)
     if alpha0 is None:
@@ -311,23 +325,22 @@ def jordan_spaces(f: Functional, alpha, alpha0=None) -> JordanFiltration:
         alpha0 = Fraction(alpha0)
         if not alpha.is_infinite and alpha.value == alpha0:
             raise ValueError("alpha0 must differ from alpha")
-    try:
-        k_op = inverse(pencil_at(m, alpha0)) @ m
-    except SingularMatrix:
-        raise NoRegularAlpha0(f"pencil is singular at alpha0={alpha0}") from None
+        if det(pencil_at(m, alpha0)) == 0:
+            raise NoRegularAlpha0(f"pencil is singular at alpha0={alpha0}")
+    p = pencil_at(m, alpha).data
+    b = [[x.numerator for x in row] for row in pencil_at(m, alpha0).data]
     n = f.algebra.dim
-    theta = Fraction(0) if alpha.is_infinite else 1 / (alpha.value - alpha0)
-    t = k_op - RatMatrix.identity(n).scale(theta)
     levels: list[Subspace] = []
-    power = t
+    image: list[list[int]] = []
     while True:
-        level = Subspace(f.algebra, kernel(power))
+        ker = kernel(RatMatrix([row + tuple(c[i] for c in image) for i, row in enumerate(p)]))
+        level = Subspace(f.algebra, [x[:n] for x in ker])
         if levels and level.dim == levels[-1].dim:
             break
         levels.append(level)
         if level.dim == n:
             break
-        power = power @ t
+        image = [_primitive_image(b, w) for w in level.basis]
     return JordanFiltration(alpha, tuple(levels), alpha0)
 
 

@@ -150,10 +150,15 @@ def test_pencil_at_against_sympy():
     for n in (1, 2, 3, 4):
         m = RatMatrix([[Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(n)] for _ in range(n)])
         sm = sympy.Matrix(n, n, lambda i, j: sympy.Rational(m[i, j].numerator, m[i, j].denominator))
+        d = sympy.lcm([m[i, j].denominator for i in range(n) for j in range(n)])
         for alpha in (Q(0), Q(1), Q(-3, 2), Q(5, 7), ALPHA_INF):
-            want = sm if alpha == ALPHA_INF else sm.T - sympy.Rational(alpha.numerator, alpha.denominator) * sm
+            if alpha == ALPHA_INF:
+                c, want = d, sm
+            else:
+                c, want = alpha.denominator * d, sm.T - sympy.Rational(alpha.numerator, alpha.denominator) * sm
             got = pencil_at(m, alpha)
-            assert [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in got.data] == want.tolist()
+            assert all(x.denominator == 1 for row in got.data for x in row)
+            assert [[sympy.Integer(x.numerator) for x in row] for row in got.data] == (c * want).tolist()
 
 
 def test_stab_infinite_is_right_annihilator():

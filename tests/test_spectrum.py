@@ -14,6 +14,7 @@ from functal.algebra import (
 )
 from functal.errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, ZeroPolynomial
 from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, stab, trace_functional
+from functal.gallery import gallery_algebras
 from functal.linalg import RatMatrix
 from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly
 from functal.sampling import SamplerConfig
@@ -294,6 +295,105 @@ def test_jordan_at_infinity():
     f = rand_functional(ut(2), rng, lo=1, hi=20)
     jf = jordan_spaces(f, ALPHA_INF)
     assert jf.levels[0] == stab(f, ALPHA_INF)
+
+
+# a unital extension whose pencil has Jordan blocks of size 2 at 0 and at infinity
+DEEP_INF_B = [[0, 2, 0, 0], [0, 0, 0, 2], [0, 0, 2, 0], [0, 0, 1, 0]]
+
+
+def _base_point_levels(f, alpha, alpha0):
+    """Oracle in sympy: ker (K - I/(alpha - alpha0))^k, or ker K^k at infinity,
+    for K = (M^T - alpha0*M)^-1 M, as Subspaces; None when the base pencil is singular."""
+    sympy = pytest.importorskip("sympy")
+    n, g = f.algebra.dim, gram(f)
+    m = sympy.Matrix(n, n, lambda i, j: sympy.Rational(g[i, j].numerator, g[i, j].denominator))
+    base = m.T - sympy.Rational(alpha0.numerator, alpha0.denominator) * m
+    if base.det() == 0:
+        return None
+    k_op = base.inv() * m
+    if not alpha.is_infinite:
+        k_op -= sympy.eye(n) / (sympy.Rational(alpha.value.numerator, alpha.value.denominator) - alpha0)
+    levels, power = [], k_op
+    while True:
+        level = Subspace(f.algebra, [tuple(Q(int(x.p), int(x.q)) for x in v) for v in power.nullspace()])
+        if levels and level.dim == levels[-1].dim:
+            return levels
+        levels.append(level)
+        if level.dim == n:
+            return levels
+        power = power * k_op
+
+
+def _oracle_pairs():
+    rng = random.Random(21)
+    for name, alg in gallery_algebras().items():
+        for _ in range(2):
+            yield name, rand_functional(alg, rng, lo=-6, hi=6)
+    for trial in range(12):
+        k = rng.choice((2, 3, 4))
+        b = [[rng.choice((0, 0, 0, 1, 2, -1)) for _ in range(k)] for _ in range(k)]
+        alg = unital_extension(nilpotent_pair(b))
+        yield f"ext{trial}", rand_functional(alg, rng, lo=1, hi=5)
+    for trial in range(6):
+        alg = rng.choice((ut(2), ut(3), mat(2), seaweed([1, 2], [2, 1]), seaweed([2, 1], [1, 2])))
+        yield f"rand{trial}", rand_functional(alg, rng, lo=-3, hi=3)
+    deep = unital_extension(nilpotent_pair(DEEP_INF_B))
+    yield "deep_inf", Functional(deep, tuple(Q(x) for x in (3, 5, 2, 5, 5, 2)))
+
+
+def test_jordan_levels_match_the_base_point_oracle():
+    depth = {"finite": 1, "inf": 1}
+    for name, f in _oracle_pairs():
+        rep = spectrum(f)
+        if rep.degenerate:
+            continue
+        for a in {*rep.exact_alphas(), ALPHA_INF}:
+            jf = jordan_spaces(f, a)
+            want = _base_point_levels(f, a, jf.alpha0_used)
+            assert [s.basis for s in jf.levels] == [s.basis for s in want], (name, a)
+            kind = "inf" if a.is_infinite else "finite"
+            depth[kind] = max(depth[kind], len(jf.levels))
+    # the corpus reaches levels deeper than 1 at a finite root and at infinity
+    assert depth["finite"] > 1 and depth["inf"] > 1, depth
+
+
+def test_jordan_explicit_base_points_match_the_oracle():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    algs = [ut(3), seaweed([2, 1], [1, 2]), unital_extension(nilpotent_pair(NONDIAG_B)),
+            unital_extension(nilpotent_pair(DEEP_INF_B))]
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(data=st.data(), alpha0=st.sampled_from([Q(0), Q(2), Q(3), Q(-1)]))
+    def check(data, alpha0):
+        alg = data.draw(st.sampled_from(algs))
+        coords = data.draw(st.lists(st.integers(-4, 4), min_size=alg.dim, max_size=alg.dim))
+        f = Functional(alg, tuple(Q(x) for x in coords))
+        rep = spectrum(f)
+        hypothesis.assume(not rep.degenerate)
+        for a in {*rep.exact_alphas(), ALPHA_INF}:
+            if not a.is_infinite and a.value == alpha0:
+                continue
+            want = _base_point_levels(f, a, alpha0)
+            if want is None:
+                with pytest.raises(NoRegularAlpha0):
+                    jordan_spaces(f, a, alpha0=alpha0)
+                continue
+            jf = jordan_spaces(f, a, alpha0=alpha0)
+            assert jf.alpha0_used == alpha0
+            assert [s.basis for s in jf.levels] == [s.basis for s in want]
+
+    check()
+
+
+def test_jordan_explicit_singular_base_point_raises():
+    # stab(1) holds the unity, so the pencil is singular at alpha0 = 1
+    alg = unital_extension(nilpotent_pair(NONDIAG_B))
+    f = Functional.from_dict(alg, {"one": 1, "v1": 2, "v2": 3, "v3": 5, "v4": 7, "w": 1})
+    for a in (Q(2), ALPHA_INF):
+        with pytest.raises(NoRegularAlpha0):
+            jordan_spaces(f, a, alpha0=Q(1))
+    assert [s.dim for s in jordan_spaces(f, Q(2), alpha0=Q(3)).levels] == [1, 2]
 
 
 # ---------------------------------------------------------------------------
