@@ -193,10 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     ap = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a value such as "-1/2" as an option: pass it as --alpha=-1/2
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--alpha" and argv[i][:1] == "-" and argv[i][1:2].isdigit():
+            argv[i - 1 : i + 1] = [f"--alpha={argv[i]}"]
     args = ap.parse_args(argv)
     out_path = getattr(args, "output", None)
     if out_path:
-        sys.stdout = open(out_path, "w")  # noqa: SIM115 - restored by process exit
+        prev_stdout = sys.stdout
+        sys.stdout = open(out_path, "w")  # noqa: SIM115 - closed in the finally below
     try:
         return _dispatch(args)
     except ANALYSIS_ERRORS as e:
@@ -211,7 +217,7 @@ def run(argv: list[str] | None = None) -> int:
     finally:
         if out_path:
             sys.stdout.close()
-            sys.stdout = sys.__stdout__
+            sys.stdout = prev_stdout
 
 
 def _dispatch(args) -> int:

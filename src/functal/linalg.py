@@ -3,7 +3,8 @@
 Matrices are immutable row-major tuples of Fraction entries.  Every
 elimination is one fraction-free loop, `_eliminate` (single-step Bareiss,
 Math. Comp. 22, 1968), over the integers or over polynomials.  `det` scales
-the rows to integers and returns the signed last pivot over the scale.
+the rows to integers (integer rows go in as they are) and returns the signed
+last pivot over the scale.
 `rref` scales the rows, eliminates and back-substitutes over the integers;
 with d the last pivot, d times each reduced row is an integer row, so the
 only fractions are the final entries x/d (Nakos, Turner, Williams, SIGSAM
@@ -250,15 +251,16 @@ def inverse(m: RatMatrix) -> RatMatrix:
     return RatMatrix([row[n:] for row in reduced[:n]])
 
 
-def det(m: RatMatrix) -> Fraction:
-    """Exact determinant of a rational matrix (0x0 gives 1)."""
-    if not m.is_square():
+def det(m: RatMatrix | Sequence[Sequence[int]]) -> Fraction:
+    """Exact determinant of a rational matrix or of integer rows (0x0 gives 1)."""
+    ints, scale = _integer_rows(m.data) if isinstance(m, RatMatrix) else ([list(row) for row in m], 1)
+    n = len(ints)
+    if any(len(row) != n for row in ints):
         raise ValueError("determinant of a non-square matrix")
-    if m.rows == 0:
+    if n == 0:
         return Fraction(1)
-    ints, scale = _integer_rows(m.data)
     pivots, sign = _eliminate(ints, 0, operator.floordiv)
-    if len(pivots) < m.rows:
+    if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * ints[-1][-1], scale)
 

@@ -6,8 +6,9 @@ leading terms, normalization) is graded lexicographic, descending.
 
 The two-variable pencil polynomial det(lam*P + mu*Q) has its own subclass
 ``BivariatePoly`` with the fixed variable pair ("lam", "mu"); ``pencil_det``
-computes it exactly by interpolating the univariate slice det(t*P + Q) at
-t = 0..n and homogenizing, each node an integer matrix.
+computes it exactly by interpolating the univariate slice r(t) = det(t*P + Q)
+at n+1 nodes and homogenizing, each node an integer matrix.  For Q = P^T,
+r(1/k) = r(k)/k^n, so each integer node k beyond 0, 1, -1 also gives 1/k.
 
 From there to the roots the coefficients stay in Z: the squarefree
 decomposition runs Yun's algorithm (SYMSAC '76) on the primitive integer
@@ -649,10 +650,13 @@ def uni_roots(p: UnivariatePoly) -> list[tuple[Fraction | ComplexApprox, int]]:
 def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     """Exact det(lam*P + mu*Q) for square rational P, Q of equal size.
 
-    Computed by interpolating r(t) = det(t*P + Q) at t = 0..n and
+    Computed by interpolating r(t) = det(t*P + Q) at n+1 nodes and
     homogenizing: chi(lam, mu) = sum r_k lam^k mu^(n-k).  With d the common
-    denominator of P and Q, each node is the integer matrix t*dP + dQ, and
-    r(t) is its determinant over d^n.
+    denominator of P and Q, each node t is the integer matrix t*dP + dQ, and
+    r(t) is its determinant over d^n.  A general pencil takes t = 0..n.  For
+    Q = P^T, det(P + k*P^T) = det(k*P + P^T) by transposition, so
+    r(1/k) = r(k)/k^n: the nodes are t = 0, 1, -1 and then k and 1/k for
+    k = 2, -2, 3, -3, ..., one determinant per integer k.
     """
     if not (p.is_square() and q.is_square() and p.rows == q.rows):
         raise ValueError("pencil_det needs equal square matrices")
@@ -662,11 +666,19 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     d = math.lcm(*(x.denominator for m in (p, q) for row in m.data for x in row))
     ip, iq = ([[x.numerator * (d // x.denominator) for x in row] for row in m.data] for m in (p, q))
     dn = d**n
-    nodes = [Fraction(t) for t in range(n + 1)]
-    values = [
-        linalg.det(RatMatrix([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)])) / dn
-        for t in range(n + 1)
-    ]
+    reciprocal = iq == [list(col) for col in zip(*ip)]
+    ts = [0, 1, -1] + [sign * k for k in range(2, n) for sign in (1, -1)] if reciprocal else range(n + 1)
+    nodes: list[Fraction] = []
+    values: list[Fraction] = []
+    for t in ts:
+        if len(nodes) > n:
+            break
+        r = linalg.det([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)]) / dn
+        nodes.append(Fraction(t))
+        values.append(r)
+        if reciprocal and abs(t) > 1 and len(nodes) <= n:
+            nodes.append(Fraction(1, t))
+            values.append(r / t**n)
     coeffs = _interpolate(nodes, values)
     return BivariatePoly({(k, n - k): c for k, c in enumerate(coeffs) if c != 0})
 

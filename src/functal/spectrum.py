@@ -199,11 +199,10 @@ class SpectrumReport:
         )
 
 
-def _numeric_kernel_dim(m: RatMatrix, alpha: complex, tol: float = 1e-8) -> int:
-    a = np.array([[complex(x) for x in row] for row in m.transpose().data]) - alpha * np.array(
-        [[complex(x) for x in row] for row in m.data]
-    )
-    s = np.linalg.svd(a, compute_uv=False)
+def _numeric_kernel_dim(fm: np.ndarray, alpha: complex, tol: float = 1e-8) -> int:
+    """Numerical dim ker(M^T - alpha*M) for M given as a complex array ``fm``:
+    the singular values below tol times max(1, the largest)."""
+    s = np.linalg.svd(fm.T - alpha * fm, compute_uv=False)
     if s.size == 0:
         return 0
     cutoff = tol * max(1.0, float(s[0]))
@@ -231,13 +230,16 @@ def spectrum(f: Functional, v: Subspace | None = None) -> SpectrumReport:
     mult_inf = n - p.degree
     core = p.shift_down(v0)
     entries: list[SpectrumEntry] = []
+    fm = None  # gm as a complex array, made at the first irrational root
     if core.degree > 0:
         for root, mult in uni_roots(core):
             if isinstance(root, Fraction):
                 d = len(kernel(pencil_at(gm, root)))
                 entries.append(SpectrumEntry(Alpha(root), mult, d, d == mult))
             else:
-                d = _numeric_kernel_dim(gm, root.as_complex())
+                if fm is None:
+                    fm = np.array([[complex(x) for x in row] for row in gm.data])
+                d = _numeric_kernel_dim(fm, root.as_complex())
                 entries.append(SpectrumEntry(root, mult, d, d == mult))
 
     def _sort_key(e: SpectrumEntry):

@@ -17,6 +17,7 @@ Exact facts exercised here:
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from dataclasses import dataclass
@@ -363,6 +364,9 @@ def tensor_vk_suite(
     checks: list[CheckResult] = []
     alphas_a = spectrum(f).exact_alphas()
     alphas_b = spectrum(g).exact_alphas()
+    # each factor filtration is computed once per call, at its first use
+    filtration_a = functools.cache(lambda a: jordan_spaces(f, a))
+    filtration_b = functools.cache(lambda b: jordan_spaces(g, b))
     for a in alphas_a:
         for b in alphas_b:
             if {a, b} == {Alpha(0), ALPHA_INF}:
@@ -375,8 +379,8 @@ def tensor_vk_suite(
                 ft = jordan_spaces(fg, ab)
             except NoRegularAlpha0:
                 return SuiteReport("tensor-vk", tuple(checks), seed)
-            fa = jordan_spaces(f, a)
-            fb = jordan_spaces(g, b)
+            fa = filtration_a(a)
+            fb = filtration_b(b)
             for k in range(1, max_level + 1):
                 for m_lvl in range(1, max_level + 2 - k):
                     vecs = _tensor_spanners(fa.level(k), fb.level(m_lvl))

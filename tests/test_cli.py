@@ -1,6 +1,8 @@
 """The command line through `cli.run`: exit codes, one-line errors, JSON output."""
 
+import contextlib
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -16,8 +18,9 @@ from functal.tensor import conjecture_probe, tensor_char_check, tensor_stab_suit
 
 # SHA-256 of the stdout of each command, each recorded once before a rewrite
 # it guards (the elimination kernel; the integer chi pipeline, whose spectra
-# of mat(4) and mat(2)xut(3) hand 12 and 4 irrational roots to np.roots); a
-# refactor keeps them
+# of mat(4) and mat(2)xut(3) hand 12 and 4 irrational roots to np.roots; the
+# reciprocal chi nodes, with odd n and r(0) = 0 on ut(5), n = 25 on mat(5),
+# and a general pencil in `tensor`); a refactor keeps them
 DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "cli_output_sha256.json").read_text())
 
 
@@ -41,6 +44,7 @@ def assert_one_line_error(err, *words):
         (["classify", "--algebra", "ut:3", "--samples", "-2"], ["input error", "--samples"]),
         (["stab", "--algebra", "mat:2", "--alpha", "1/0"], ["input error", "zero denominator"]),
         (["jordan", "--algebra", "mat:2", "--alpha=-3/0"], ["input error", "zero denominator"]),
+        (["jordan", "--algebra", "mat:2", "--alpha", "-3/0"], ["input error", "zero denominator"]),
         (["spectrum", "--algebra", "mat:2", "--functional", '{"E_{1,1}": "1/0"}'], ["input error"]),
         (["spectrum", "--algebra", "mat:2", "--functional", '{"E_{1,1}": 1.5}'], ["input error", "E_{1,1}"]),
         (["spectrum", "--algebra", "mat:2", "--functional", '{"E_{2,1}": null}'], ["input error", "E_{2,1}"]),
@@ -72,6 +76,25 @@ def test_refused_analysis_exits_1_with_one_line(capsys):
     assert code == 1
     assert out == ""
     assert_one_line_error(err, "analysis refused")
+
+
+@pytest.mark.parametrize("verb", ["stab", "jordan"])
+@pytest.mark.parametrize("alpha", ["-1/2", "-1", "-7/3"])
+def test_negative_alpha_parses_as_a_separate_argument(capsys, verb, alpha):
+    base = [verb, "--algebra", "mat:2", "--seed", "3", "--format", "json"]
+    joined = run(capsys, *base, f"--alpha={alpha}")
+    assert joined[0] == 0 and joined[1] and joined[2] == ""
+    assert run(capsys, *base, "--alpha", alpha) == joined
+
+
+def test_output_file_restores_the_callers_stdout(tmp_path):
+    path = tmp_path / "chi.json"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.run(["chi", "--algebra", "mat:2", "--output", str(path), "--format", "json"]) == 0
+        print("after")
+        assert cli.run(["chi", "--algebra", "mat:2", "--format", "json"]) == 0
+    assert buf.getvalue() == "after\n" + path.read_text()
 
 
 def test_sampler_config_rejects_empty_sample_counts():

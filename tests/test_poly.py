@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from functal.algebra import nilpotent_pair
 from functal.errors import ZeroPolynomial
-from functal.linalg import RatMatrix
+from functal.functional import Functional, gram
+from functal.linalg import RatMatrix, ff_det
 from functal.poly import (
     LAM,
     MU,
@@ -236,6 +238,69 @@ def test_pencil_det_matches_sympy_with_unrelated_denominators():
         assert got.terms == {e: Q(int(c.p), int(c.q)) for e, c in want.terms()}
 
 
+def _reciprocal_pencil_cases(rng):
+    """(name, M) for pencil_det(M, M^T), which takes reciprocal nodes: random
+    M with unrelated denominators, and the shapes that make chi special."""
+    dens = (1, 2, 3, 7, 11, 13)
+
+    def entry():
+        return Q(rng.randint(-9, 9), rng.choice(dens))
+
+    for n in range(1, 10):
+        m = [[entry() for _ in range(n)] for _ in range(n)]
+        yield f"generic {n}", m
+        sing = [row[:] for row in m]
+        sing[-1] = [2 * x - y for x, y in zip(sing[0], sing[(n - 1) // 2])] if n > 1 else [Q(0)]
+        yield f"singular {n}", sing
+        yield f"symmetric {n}", [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+        yield f"skew {n}", [[m[i][j] - m[j][i] for j in range(n)] for i in range(n)]
+    for k in (2, 3, 4):
+        b = [[rng.randint(-9, 9) for _ in range(k)] for _ in range(k)]
+        alg = nilpotent_pair(b)
+        yield f"nilpotent pair {k}", gram(Functional(alg, tuple(entry() for _ in range(alg.dim)))).data
+
+
+def test_reciprocal_pencil_det_matches_sympy_berkowitz():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.QQ[sympy.symbols("lam mu")]
+    lam, mu = ring.gens
+    rng = random.Random(11)
+    for name, m in _reciprocal_pencil_cases(rng):
+        p = RatMatrix(m)
+        n = p.rows
+        r = lambda x: sympy.QQ(x.numerator, x.denominator)
+        pencil = DomainMatrix([[lam * r(p[i, j]) + mu * r(p[j, i]) for j in range(n)] for i in range(n)], (n, n), ring)
+        # Berkowitz characteristic polynomial; its constant term is (-1)^n det
+        want = (-1) ** n * pencil.charpoly()[-1]
+        got = pencil_det(p, p.transpose())
+        assert got.terms == {e: Q(int(c.numerator), int(c.denominator)) for e, c in want.terms()}, name
+        # r(0) = det M^T; skew M gives (lam - mu)^n det M, zero for odd n; the
+        # W rows and columns of a nilpotent-pair Gram matrix vanish
+        if name.startswith("singular"):
+            assert (0, n) not in got.terms, name
+        if name.startswith("nilpotent") or (name.startswith("skew") and n % 2):
+            assert got.is_zero(), name
+
+
+def test_reciprocal_pencil_det_matches_symbolic_bareiss_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    entries = st.builds(Q, st.integers(-30, 30), st.sampled_from((1, 2, 3, 5, 7, 9, 11)))
+    matrices = st.integers(1, 6).flatmap(lambda n: st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(m=matrices)
+    def check(m):
+        p = RatMatrix(m)
+        n = p.rows
+        assert pencil_det(p, p.transpose()) == ff_det([[LAM * p[i, j] + MU * p[j, i] for j in range(n)] for i in range(n)])
+
+    check()
+
+
 def test_generalized_resultant_linear():
     p = UnivariatePoly([-2, 1])
     q = UnivariatePoly([-3, 1])
@@ -304,8 +369,6 @@ def test_generalized_resultant_numeric_invariant():
 def test_pencil_det_matches_symbolic_bareiss():
     # interpolation route vs direct elimination over the two-variable ring
     rng = random.Random(6)
-    from functal.linalg import ff_det
-
     for n in (1, 2, 3, 4):
         p = RatMatrix([[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)])
         q = RatMatrix([[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)])
