@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import random
@@ -33,6 +34,7 @@ from .errors import (
 from .functional import Alpha, Functional, stab, trace_functional
 from .gallery import write_gallery
 from .linalg import RatMatrix
+from .report import to_json
 from .sampling import SamplerConfig
 from .scalars import rat, rat_str
 from .spectrum import (
@@ -90,9 +92,9 @@ def load_functional(alg: Algebra, spec: str, seed: int, bound: int = 20) -> Func
     return Functional.from_dict(alg, data)
 
 
-def _emit(args, report_dict: dict, text: str) -> None:
+def _emit(args, report, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(report_dict, sort_keys=True))
+        print(json.dumps(to_json(report), sort_keys=True))
     else:
         print(text)
 
@@ -103,7 +105,7 @@ def _spectrum_text(rep) -> str:
         lines.append("characteristic polynomial vanishes identically (degenerate pair)")
     for e in rep.all_entries():
         lines.append(
-            f"  alpha={e.alpha_json()}  multiplicity={e.multiplicity}  "
+            f"  alpha={to_json(e.alpha)}  multiplicity={e.multiplicity}  "
             f"stab_dim={e.stab_dim}  precise={e.precise}"
         )
     return "\n".join(lines)
@@ -222,6 +224,8 @@ def run(argv: list[str] | None = None) -> int:
 
 def _dispatch(args) -> int:
     sampler = SamplerConfig(seed=args.seed, samples=args.samples, workers=args.workers)
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"--tol must be a positive number, got {args.tol}")
 
     if args.verb == "new":
         alg = load_algebra(args.algebra)
@@ -251,11 +255,7 @@ def _dispatch(args) -> int:
         path = Path(args.algebra)
         alg = read_algebra(path.read_text()) if path.exists() else load_algebra(args.algebra)
         violations = validate(alg)
-        doc = {
-            "kind": "validation",
-            "ok": not violations,
-            "violations": [{"kind": v.kind, "triple": list(v.triple), "detail": v.detail} for v in violations],
-        }
+        doc = {"kind": "validation", "ok": not violations, "violations": violations}
         _emit(args, doc, "ok" if not violations else "\n".join(v.detail for v in violations))
         return 0 if not violations else 1
 
@@ -269,19 +269,14 @@ def _dispatch(args) -> int:
         alg = load_algebra(args.algebra)
         f = load_functional(alg, args.functional, args.seed)
         rep = spectrum(f)
-        _emit(args, rep.to_json_dict(), _spectrum_text(rep))
+        _emit(args, rep, _spectrum_text(rep))
         return 1 if rep.degenerate else 0
 
     if args.verb == "stab":
         alg = load_algebra(args.algebra)
         f = load_functional(alg, args.functional, args.seed)
         s = stab(f, Alpha.of(args.alpha))
-        doc = {
-            "kind": "stab",
-            "alpha": args.alpha,
-            "dim": s.dim,
-            "basis": [[rat_str(c) for c in v] for v in s.basis],
-        }
+        doc = {"kind": "stab", "alpha": args.alpha, "dim": s.dim, "basis": s.basis}
         text = f"dim {s.dim}\n" + "\n".join(
             "  (" + ", ".join(rat_str(c) for c in v) + ")" for v in s.basis
         )
@@ -295,11 +290,8 @@ def _dispatch(args) -> int:
         doc = {
             "kind": "jordan",
             "alpha": args.alpha,
-            "alpha0": rat_str(jf.alpha0_used),
-            "levels": [
-                {"k": k + 1, "dim": s.dim, "basis": [[rat_str(c) for c in v] for v in s.basis]}
-                for k, s in enumerate(jf.levels)
-            ],
+            "alpha0": jf.alpha0_used,
+            "levels": [{"k": k + 1, "dim": s.dim, "basis": s.basis} for k, s in enumerate(jf.levels)],
         }
         text = f"base point {rat_str(jf.alpha0_used)}; level dims: " + " < ".join(
             str(s.dim) for s in jf.levels
@@ -310,17 +302,13 @@ def _dispatch(args) -> int:
     if args.verb == "classify":
         alg = load_algebra(args.algebra)
         rep = classify(alg, sampler)
-        _emit(
-            args,
-            rep.to_json_dict(),
-            f"{rep.verdict} (min nil dim {rep.min_nil_dim}, {rep.samples_used} samples, seed {rep.seed})",
-        )
+        _emit(args, rep, f"{rep.verdict} (min nil dim {rep.min_nil_dim}, {rep.samples_used} samples, seed {rep.seed})")
         return 0
 
     if args.verb == "index":
         alg = load_algebra(args.algebra)
         rep = index(alg, sampler)
-        _emit(args, rep.to_json_dict(), str(rep.value))
+        _emit(args, rep, str(rep.value))
         return 0
 
     if args.verb == "tensor":
@@ -330,7 +318,7 @@ def _dispatch(args) -> int:
         g = load_functional(alg_b, args.functional_b, args.seed + 1)
         chi_rep = tensor_char_check(alg_a, f, alg_b, g, args.tol)
         stab_rep = tensor_stab_suite(alg_a, f, alg_b, g, args.seed)
-        doc = {"chi_check": chi_rep.to_json_dict(), "stab_suite": stab_rep.to_json_dict()}
+        doc = {"chi_check": chi_rep, "stab_suite": stab_rep}
         text = (
             f"chi routes agree: {chi_rep.pass_} (max rel err {chi_rep.max_relative_error})\n"
             f"stabilizer inclusions: {'pass' if stab_rep.passed else 'FAIL'} "
@@ -348,21 +336,18 @@ def _dispatch(args) -> int:
             f"resonance sum = {rep.resonance_sum} over alphas {list(rep.resonant_alphas)}\n"
             f"{rep.hypothesis}"
         )
-        _emit(args, rep.to_json_dict(), text)
+        _emit(args, rep, text)
         return 0
 
     if args.verb == "verify":
         if args.suite not in SUITES:
             print(f"unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
             return 2
+        if args.instances < 1:
+            raise ValueError(f"--instances must be at least 1, got {args.instances}")
         rep = run_suite(args.suite, seed=args.seed, samples=args.samples, instances=args.instances, tol=args.tol)
-        if args.format == "json":
-            print(json.dumps(rep.to_json_dict(), sort_keys=True))
-        else:
-            print(f"suite {rep.name}: {'pass' if rep.passed else 'FAIL'} ({len(rep.checks)} checks)")
-            for c in rep.checks:
-                if not c.passed:
-                    print(f"  FAIL {c.name}: {c.detail}")
+        text = f"suite {rep.name}: {'pass' if rep.passed else 'FAIL'} ({len(rep.checks)} checks)"
+        _emit(args, rep, "\n".join([text] + [f"  FAIL {c.name}: {c.detail}" for c in rep.checks if not c.passed]))
         return 0 if rep.passed else 1
 
     if args.verb == "gallery":

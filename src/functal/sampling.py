@@ -24,8 +24,9 @@ class SamplerConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise ValueError(f"--samples must be at least 1, got {self.samples}")
+        for flag, n in (("--samples", self.samples), ("--workers", self.workers)):
+            if n < 1:
+                raise ValueError(f"{flag} must be at least 1, got {n}")
 
 
 def sample_functionals(alg: Algebra, cfg: SamplerConfig) -> list[Functional]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
+from typing import ClassVar
 
 import numpy as np
 
@@ -140,28 +141,10 @@ class SpectrumEntry:
     stab_dim: int
     precise: bool
 
-    def alpha_json(self):
-        if isinstance(self.alpha, ComplexApprox):
-            return [self.alpha.re, self.alpha.im]
-        return str(self.alpha)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": self.alpha_json(),
-            "multiplicity": self.multiplicity,
-            "stab_dim": self.stab_dim,
-            "precise": self.precise,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SpectrumEntry":
-        a = d["alpha"]
-        alpha = ComplexApprox(a[0], a[1]) if isinstance(a, list) else Alpha.of(a)
-        return cls(alpha, d["multiplicity"], d["stab_dim"], d["precise"])
-
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    kind: ClassVar[str] = "spectrum"
     algebra_dim: int
     pencil_degree: int
     entries: tuple[SpectrumEntry, ...]
@@ -175,28 +158,6 @@ class SpectrumReport:
 
     def exact_alphas(self) -> list[Alpha]:
         return [e.alpha for e in self.all_entries() if isinstance(e.alpha, Alpha)]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "spectrum",
-            "algebra_dim": self.algebra_dim,
-            "pencil_degree": self.pencil_degree,
-            "degenerate": self.degenerate,
-            "entries": [e.to_json_dict() for e in self.entries],
-            "zero_entry": self.zero_entry.to_json_dict(),
-            "infinity_entry": self.infinity_entry.to_json_dict(),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SpectrumReport":
-        return cls(
-            algebra_dim=d["algebra_dim"],
-            pencil_degree=d["pencil_degree"],
-            degenerate=d["degenerate"],
-            entries=tuple(SpectrumEntry.from_json_dict(e) for e in d["entries"]),
-            zero_entry=SpectrumEntry.from_json_dict(d["zero_entry"]),
-            infinity_entry=SpectrumEntry.from_json_dict(d["infinity_entry"]),
-        )
 
 
 def _numeric_kernel_dim(fm: np.ndarray, alpha: complex, tol: float = 1e-8) -> int:
@@ -361,21 +322,12 @@ def canonical_complement(s: Subspace) -> Subspace:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    kind: ClassVar[str] = "classification"
     verdict: str
     min_nil_dim: int
-    witness_functionals: tuple[Functional, ...]
+    witnesses: tuple[Functional, ...]
     samples_used: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "classification",
-            "verdict": self.verdict,
-            "min_nil_dim": self.min_nil_dim,
-            "witnesses": [w.to_dict() for w in self.witness_functionals],
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
 
 
 def classify(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> ClassificationReport:
@@ -404,19 +356,11 @@ def classify(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> Classifi
 
 @dataclass(frozen=True)
 class IndexReport:
+    kind: ClassVar[str] = "index"
     value: int
     witness: Functional
     samples_used: int
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "index",
-            "value": self.value,
-            "witness": self.witness.to_dict(),
-            "samples_used": self.samples_used,
-            "seed": self.seed,
-        }
 
 
 def _stab_dim_at(args) -> int:
@@ -457,12 +401,10 @@ class CheckResult:
     passed: bool
     detail: str = ""
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass(frozen=True)
 class RegularityReport:
+    kind: ClassVar[str] = "regularity"
     checks: tuple[CheckResult, ...]
     seed: int
     constant_alphas: tuple[str, ...] = field(default=())
@@ -470,15 +412,6 @@ class RegularityReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "regularity",
-            "passed": self.passed,
-            "seed": self.seed,
-            "constant_alphas": list(self.constant_alphas),
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
 
 
 def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> RegularityReport:

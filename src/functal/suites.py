@@ -81,7 +81,7 @@ def _check(checks: list[CheckResult], name: str, ok: bool, detail: str = ""):
     checks.append(CheckResult(name, ok, "" if ok else detail))
 
 
-def stab_props_suite(seed: int = 0, samples: int = 4) -> SuiteReport:
+def stab_props_suite(seed: int = 0) -> SuiteReport:
     """Stabilizer product laws, dimension symmetry, unital vanishing, rank-1 law."""
     checks: list[CheckResult] = []
     algs = gallery_algebras()
@@ -163,7 +163,7 @@ def _vk_product_targets(a: Alpha, b: Alpha) -> Alpha | None:
     return Alpha(a.value * b.value)
 
 
-def vk_props_suite(seed: int = 0, samples: int = 4) -> SuiteReport:
+def vk_props_suite(seed: int = 0) -> SuiteReport:
     """Divisibility bounds, level products, base-point independence, completeness."""
     checks: list[CheckResult] = []
     for name, f, rep in _rational_spectrum_pairs(gallery_algebras(), seed):
@@ -275,15 +275,15 @@ def cayley_suite(seed: int = 0, instances: int = 30, tol: float = 1e-6) -> Suite
     return SuiteReport("cayley", tuple(checks), seed)
 
 
-def tensor_chi_suite(seed: int = 0, max_product_dim: int = 36) -> SuiteReport:
-    """Exact agreement of the two chi routes on all desk pairs within budget."""
+def tensor_chi_suite(seed: int = 0) -> SuiteReport:
+    """Exact agreement of the two chi routes on the desk pairs of dimension <= 36."""
     checks: list[CheckResult] = []
     rng = random.Random(seed)
     algs = gallery_algebras()
     names = ["mat1", "mat2", "mat3", "ut2", "ut3", "seaweed_12_21", "seaweed_21_12"]
     for na, nb in itertools.product(names, repeat=2):
         a, b = algs[na], algs[nb]
-        if a.dim * b.dim > max_product_dim:
+        if a.dim * b.dim > 36:
             continue
         f = Functional(a, tuple(Fraction(rng.randint(-20, 20)) for _ in range(a.dim)))
         g = Functional(b, tuple(Fraction(rng.randint(-20, 20)) for _ in range(b.dim)))
@@ -347,8 +347,8 @@ def tensor_stab_suite_all(seed: int = 0) -> SuiteReport:
 
 
 SUITES = {
-    "stab-props": lambda seed, samples, instances, tol: stab_props_suite(seed, samples),
-    "vk-props": lambda seed, samples, instances, tol: vk_props_suite(seed, samples),
+    "stab-props": lambda seed, samples, instances, tol: stab_props_suite(seed),
+    "vk-props": lambda seed, samples, instances, tol: vk_props_suite(seed),
     "cayley": lambda seed, samples, instances, tol: cayley_suite(seed, instances, tol),
     "tensor-chi": lambda seed, samples, instances, tol: tensor_chi_suite(seed),
     "regular-corollaries": lambda seed, samples, instances, tol: regular_corollaries_suite(seed, samples),

@@ -22,13 +22,14 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
 from . import linalg
 from .algebra import Algebra, mat, tensor_product
 from .errors import AlgebraMismatch, DegeneratePencil, NoRegularAlpha0, NotType1
-from .functional import ALPHA_INF, Alpha, Functional, Subspace, gram, nil, stab
+from .functional import ALPHA_INF, Alpha, Functional, Subspace, gram, stab
 from .linalg import RatMatrix, Vector
 from .poly import pencil_det
 from .sampling import SamplerConfig
@@ -58,7 +59,8 @@ def kronecker_swap_matrix(k: int, m: int) -> RatMatrix:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    identity_name: str
+    kind: ClassVar[str] = "identity"
+    identity: str
     instances_checked: int
     mode: str  # "exact" or "numeric"
     pass_: bool
@@ -66,32 +68,6 @@ class IdentityReport:
     tolerance: float | None = None
     failing_instance: str | None = None
     seed: int | None = None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "identity",
-            "identity": self.identity_name,
-            "instances_checked": self.instances_checked,
-            "mode": self.mode,
-            "pass": self.pass_,
-            "max_relative_error": self.max_relative_error,
-            "tolerance": self.tolerance,
-            "failing_instance": self.failing_instance,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "IdentityReport":
-        return cls(
-            identity_name=d["identity"],
-            instances_checked=d["instances_checked"],
-            mode=d["mode"],
-            pass_=d["pass"],
-            max_relative_error=d["max_relative_error"],
-            tolerance=d["tolerance"],
-            failing_instance=d["failing_instance"],
-            seed=d["seed"],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +235,7 @@ def tensor_char_check(
 
 @dataclass(frozen=True)
 class SuiteReport:
+    kind: ClassVar[str] = "suite"
     name: str
     checks: tuple[CheckResult, ...]
     seed: int
@@ -266,23 +243,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "suite",
-            "name": self.name,
-            "passed": self.passed,
-            "seed": self.seed,
-            "checks": [c.to_json_dict() for c in self.checks],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SuiteReport":
-        return cls(
-            d["name"],
-            tuple(CheckResult(c["name"], c["passed"], c.get("detail", "")) for c in d["checks"]),
-            d["seed"],
-        )
 
 
 def _tensor_spanners(u: Subspace, w: Subspace) -> list[Vector]:
@@ -307,6 +267,8 @@ def tensor_stab_suite(
     ta = tensor_product(alg_a, alg_b)
     fg = tensor_functional(ta, f, g)
     checks: list[CheckResult] = []
+    # one stabilizer per (functional, alpha) per call
+    stab_f, stab_g, stab_fg = (functools.cache(functools.partial(stab, h)) for h in (f, g, fg))
 
     alphas_a = spectrum(f).exact_alphas()
     alphas_b = spectrum(g).exact_alphas()
@@ -316,16 +278,16 @@ def tensor_stab_suite(
                 ab = a.times(b)
             except ValueError:
                 continue  # 0 * inf pairs are covered by the nil check
-            vecs = _tensor_spanners(stab(f, a), stab(g, b))
-            target = stab(fg, ab)
+            vecs = _tensor_spanners(stab_f(a), stab_g(b))
+            target = stab_fg(ab)
             ok = all(target.contains(v) for v in vecs)
             checks.append(
                 CheckResult(f"stab({a}) (x) stab({b}) in stab({ab})", ok)
             )
 
-    nil_fg = nil(fg)
-    mixed = _tensor_spanners(stab(f, Alpha(0)), stab(g, ALPHA_INF))
-    mixed += _tensor_spanners(stab(f, ALPHA_INF), stab(g, Alpha(0)))
+    nil_fg = stab_fg(Alpha(0)).intersect(stab_fg(ALPHA_INF))
+    mixed = _tensor_spanners(stab_f(Alpha(0)), stab_g(ALPHA_INF))
+    mixed += _tensor_spanners(stab_f(ALPHA_INF), stab_g(Alpha(0)))
     checks.append(
         CheckResult(
             "stab(0)(x)stab(inf) + stab(inf)(x)stab(0) in nil",
@@ -336,9 +298,9 @@ def tensor_stab_suite(
     whole_a = Subspace.whole(alg_a)
     whole_b = Subspace.whole(alg_b)
     for alpha, name in ((Alpha(0), "0"), (ALPHA_INF, "inf")):
-        target = stab(fg, alpha)
-        vecs = _tensor_spanners(stab(f, alpha), whole_b)
-        vecs += _tensor_spanners(whole_a, stab(g, alpha))
+        target = stab_fg(alpha)
+        vecs = _tensor_spanners(stab_f(alpha), whole_b)
+        vecs += _tensor_spanners(whole_a, stab_g(alpha))
         checks.append(
             CheckResult(
                 f"stab({name})(x)B + A(x)stab({name}) in stab({name})",
@@ -349,9 +311,9 @@ def tensor_stab_suite(
 
 
 def tensor_vk_suite(
-    alg_a: Algebra, f: Functional, alg_b: Algebra, g: Functional, seed: int = 0, max_level: int = 2
+    alg_a: Algebra, f: Functional, alg_b: Algebra, g: Functional, seed: int = 0
 ) -> SuiteReport:
-    """V_k(a) (x) V_m(b) inside V_{k+m-1}(ab) for k + m <= max_level + 1.
+    """V_k(a) (x) V_m(b) inside V_{k+m-1}(ab) for k + m <= 3.
 
     Applies only when the product functional F (x) G is pencil-regular; when
     it is not (e.g. both factor spectra contain 0 and infinity, which forces
@@ -381,8 +343,8 @@ def tensor_vk_suite(
                 return SuiteReport("tensor-vk", tuple(checks), seed)
             fa = filtration_a(a)
             fb = filtration_b(b)
-            for k in range(1, max_level + 1):
-                for m_lvl in range(1, max_level + 2 - k):
+            for k in (1, 2):
+                for m_lvl in range(1, 4 - k):
                     vecs = _tensor_spanners(fa.level(k), fb.level(m_lvl))
                     target = ft.level(k + m_lvl - 1)
                     ok = all(target.contains(x) for x in vecs)
@@ -399,6 +361,7 @@ def tensor_vk_suite(
 
 @dataclass(frozen=True)
 class TensorIndexReport:
+    kind: ClassVar[str] = "tensor-index"
     n: int
     factor_index: int
     product_index: int
@@ -411,20 +374,6 @@ class TensorIndexReport:
     @property
     def passed(self) -> bool:
         return self.product_index == self.expected and self.one_precise is not False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "tensor-index",
-            "n": self.n,
-            "factor_index": self.factor_index,
-            "product_index": self.product_index,
-            "expected": self.expected,
-            "one_precise_checked": self.one_precise_checked,
-            "one_precise": self.one_precise,
-            "warning": self.warning,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
 
 
 def mat_tensor_index_experiment(
@@ -459,6 +408,7 @@ def mat_tensor_index_experiment(
 
 @dataclass(frozen=True)
 class ConjectureProbeReport:
+    kind: ClassVar[str] = "conjecture-probe"
     product_index: int
     index_product: int
     resonance_sum: int
@@ -466,18 +416,6 @@ class ConjectureProbeReport:
     hypothesis: str
     hypothesis_consistent: bool
     seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "conjecture-probe",
-            "product_index": self.product_index,
-            "index_product": self.index_product,
-            "resonance_sum": self.resonance_sum,
-            "resonant_alphas": list(self.resonant_alphas),
-            "hypothesis": self.hypothesis,
-            "hypothesis_consistent": self.hypothesis_consistent,
-            "seed": self.seed,
-        }
 
 
 def conjecture_probe(

@@ -11,16 +11,19 @@ import pytest
 from functal import cli
 from functal.algebra import mat, parse_algebra, serialize_algebra, ut
 from functal.functional import Alpha, stab
-from functal.gallery import JORDAN_BLOCK_B
+from functal.gallery import INVERTIBLE_B, JORDAN_BLOCK_B, gallery_algebras
+from functal.report import to_json
 from functal.sampling import SamplerConfig
-from functal.spectrum import classify, index, jordan_spaces, spectrum
-from functal.tensor import conjecture_probe, tensor_char_check, tensor_stab_suite
+from functal.spectrum import classify, index, jordan_spaces, regularity_corollary_suite, spectrum
+from functal.tensor import conjecture_probe, mat_tensor_index_experiment, tensor_char_check, tensor_stab_suite
 
 # SHA-256 of the stdout of each command, each recorded once before a rewrite
 # it guards (the elimination kernel; the integer chi pipeline, whose spectra
 # of mat(4) and mat(2)xut(3) hand 12 and 4 irrational roots to np.roots; the
 # reciprocal chi nodes, with odd n and r(0) = 0 on ut(5), n = 25 on mat(5),
-# and a general pencil in `tensor`); a refactor keeps them
+# and a general pencil in `tensor`; the one report serialiser); a refactor
+# keeps them.  A key with <...> names an input, or a report no verb prints,
+# that its own test below builds.
 DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "cli_output_sha256.json").read_text())
 
 
@@ -56,6 +59,13 @@ def assert_one_line_error(err, *words):
         (["spectrum", "--algebra", "blob:3"], ["input error"]),
         (["spectrum", "--algebra", "no-such-file.json"], ["input error"]),
         (["verify", "no-such-suite"], ["no-such-suite"]),
+        (["verify", "cayley", "--instances", "-3"], ["input error", "--instances"]),
+        (["verify", "cayley", "--instances", "0"], ["input error", "--instances"]),
+        (["index", "--algebra", "mat:2", "--workers", "-4"], ["input error", "--workers"]),
+        (["verify", "stab-props", "--workers", "0"], ["input error", "--workers"]),
+        (["verify", "cayley", "--tol", "nan"], ["input error", "--tol"]),
+        (["verify", "cayley", "--tol", "-1"], ["input error", "--tol"]),
+        (["tensor", "--algebra", "mat:2", "--algebra-b", "ut:2", "--tol", "inf"], ["input error", "--tol"]),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, words):
@@ -128,8 +138,8 @@ def _jordan_doc(f, alpha):
 
 def _tensor_doc(fa, fb, seed):
     return {
-        "chi_check": tensor_char_check(fa.algebra, fa, fb.algebra, fb, 1e-6).to_json_dict(),
-        "stab_suite": tensor_stab_suite(fa.algebra, fa, fb.algebra, fb, seed).to_json_dict(),
+        "chi_check": to_json(tensor_char_check(fa.algebra, fa, fb.algebra, fb, 1e-6)),
+        "stab_suite": to_json(tensor_stab_suite(fa.algebra, fa, fb.algebra, fb, seed)),
     }
 
 
@@ -138,15 +148,15 @@ def _tensor_doc(fa, fb, seed):
     [
         (
             ["spectrum", "--algebra", "mat:2", "--functional", "diag:1,2"],
-            lambda load: spectrum(load("mat:2", "diag:1,2")).to_json_dict(),
+            lambda load: to_json(spectrum(load("mat:2", "diag:1,2"))),
         ),
         (
             ["index", "--algebra", "ut:3", "--seed", "4", "--samples", "3"],
-            lambda load: index(ut(3), SamplerConfig(seed=4, samples=3)).to_json_dict(),
+            lambda load: to_json(index(ut(3), SamplerConfig(seed=4, samples=3))),
         ),
         (
             ["classify", "--algebra", "mat:2", "--seed", "1", "--samples", "2"],
-            lambda load: classify(mat(2), SamplerConfig(seed=1, samples=2)).to_json_dict(),
+            lambda load: to_json(classify(mat(2), SamplerConfig(seed=1, samples=2))),
         ),
         (
             ["stab", "--algebra", "mat:2", "--functional", "diag:1,2", "--alpha", "1/2"],
@@ -176,11 +186,39 @@ def test_json_output_round_trips_and_matches_the_library(capsys, argv, expected)
     assert code == 0 and text and text != out
 
 
-@pytest.mark.parametrize("command", sorted(DIGESTS))
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", sorted(k for k in DIGESTS if "<" not in k))
 def test_output_is_byte_identical_to_the_recorded_digest(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
+    assert sha256(out) == DIGESTS[command]
+
+
+@pytest.mark.parametrize("name, b", [("INVERTIBLE_B", INVERTIBLE_B), ("JORDAN_BLOCK_B", JORDAN_BLOCK_B)])
+def test_non_type1_classification_is_byte_identical(capsys, tmp_path, name, b):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(b))
+    code, out, err = run(capsys, "classify", "--algebra", f"abc0:{path}", "--samples", "2", "--format", "json")
+    assert code == 0 and err == ""
+    assert sha256(out) == DIGESTS[f"classify --algebra abc0:<{name}> --samples 2 --format json"]
+
+
+def test_reports_no_verb_prints_serialise_byte_identically():
+    algs = gallery_algebras()
+    cfg = SamplerConfig(samples=4)
+    reports = {
+        "<RegularityReport> regularity_corollary_suite(unital_ext_nondiag, samples=4)":
+            regularity_corollary_suite(algs["unital_ext_nondiag"], cfg),
+        "<TensorIndexReport> mat_tensor_index_experiment(2, ut(3), samples=4)":
+            mat_tensor_index_experiment(2, ut(3), cfg),
+        "<TensorIndexReport> mat_tensor_index_experiment(2, abc0_invertible, samples=4)":
+            mat_tensor_index_experiment(2, algs["abc0_invertible"], cfg),
+    }
+    for key, rep in reports.items():
+        assert sha256(json.dumps(to_json(rep), sort_keys=True)) == DIGESTS[key], key
 
 
 def reserialises(out):
@@ -212,6 +250,7 @@ def test_validate_exits_1_on_a_perturbed_table(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "validate", "--algebra", str(bad), "--format", "json")
     assert code == 1 and err == "" and reserialises(out)
+    assert sha256(out) == DIGESTS["validate --algebra <mat:2 with E11*E11 = 2 E11> --format json"]
     rep = json.loads(out)
     assert not rep["ok"] and [0, 0, 1] in [v["triple"] for v in rep["violations"]]
     code, text, _ = run(capsys, "validate", "--algebra", str(bad))
@@ -225,7 +264,7 @@ def test_validate_exits_1_on_a_perturbed_table(capsys, tmp_path):
 def test_probe_exit_codes_and_json(capsys, tmp_path):
     code, out, err = run(capsys, "probe", "--algebra", "mat:2", "--algebra-b", "ut:2", "--samples", "2", "--format", "json")
     assert code == 0 and err == "" and reserialises(out)
-    assert json.loads(out) == _json(conjecture_probe(mat(2), ut(2), SamplerConfig(samples=2)).to_json_dict())
+    assert json.loads(out) == to_json(conjecture_probe(mat(2), ut(2), SamplerConfig(samples=2)))
     # a nilpotent Jordan block pair is of type 3, so the probe is refused
     block = tmp_path / "block.json"
     block.write_text(json.dumps(JORDAN_BLOCK_B))

@@ -19,7 +19,6 @@ from functal.linalg import RatMatrix
 from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly
 from functal.sampling import SamplerConfig
 from functal.spectrum import (
-    SpectrumReport,
     char_poly,
     char_poly_raw,
     char_poly_symbolic,
@@ -210,12 +209,6 @@ def test_spectrum_numeric_entries_for_irrational_roots():
     assert sum(e.multiplicity for e in rep.all_entries()) == 4
     for e in approx:
         assert e.stab_dim >= 1
-
-
-def test_spectrum_report_json_round_trip():
-    f = trace_functional(mat(2), RatMatrix([[1, 0], [0, 2]]))
-    rep = spectrum(f)
-    assert SpectrumReport.from_json_dict(rep.to_json_dict()) == rep
 
 
 def test_spectrum_symmetry_alpha_inverse():

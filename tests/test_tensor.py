@@ -11,7 +11,6 @@ from functal.poly import LAM, MU
 from functal.sampling import SamplerConfig
 from functal.spectrum import index
 from functal.tensor import (
-    IdentityReport,
     conjecture_probe,
     extended_cayley_check,
     kronecker_swap_matrix,
@@ -139,11 +138,6 @@ def test_cayley_rejects_degenerate_pencil():
     n = RatMatrix([[0, 1], [0, 0]])
     with pytest.raises(DegeneratePencil):
         extended_cayley_check(n, n, RatMatrix.identity(2), RatMatrix.identity(2))
-
-
-def test_identity_report_json_round_trip():
-    rep = random_cayley_instances(count=3, seed=0)
-    assert IdentityReport.from_json_dict(rep.to_json_dict()) == rep
 
 
 # ---------------------------------------------------------------------------
