@@ -123,6 +123,14 @@ def _add_common(p: argparse.ArgumentParser, functional: bool = False, alpha: boo
         p.add_argument("--alpha", required=True, help='rational value or "inf"')
 
 
+class _Given(argparse.Action):
+    """Stores the value and records that the flag was given, as `given_<dest>`."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"given_{self.dest}", True)
+
+
 def _common_flags(suppress: bool) -> argparse.ArgumentParser:
     # Registered on the main parser with real defaults and on every
     # subparser with SUPPRESS, so flags work on either side of the verb.
@@ -130,9 +138,9 @@ def _common_flags(suppress: bool) -> argparse.ArgumentParser:
     default_seed = int(os.environ.get("FUNCTAL_SEED", "0"))
     p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--seed", type=int, default=d if suppress else default_seed, help="RNG seed (env FUNCTAL_SEED)")
-    p.add_argument("--samples", type=int, default=d if suppress else 8, help="sample count for generic searches")
+    p.add_argument("--samples", type=int, action=_Given, default=d if suppress else 8, help="sample count for generic searches")
     p.add_argument("--format", choices=("text", "json"), default=d if suppress else "text")
-    p.add_argument("--tol", type=float, default=d if suppress else 1e-6, help="numeric tolerance")
+    p.add_argument("--tol", type=float, action=_Given, default=d if suppress else 1e-6, help="numeric tolerance")
     p.add_argument("--workers", type=int, default=d if suppress else 1, help="parallel workers for sampling")
     p.add_argument("--output", default=d if suppress else None, help="write primary output to this path")
     return p
@@ -186,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a named invariant suite")
     p.add_argument("suite", help=f"one of: {', '.join(sorted(SUITES))}")
-    p.add_argument("--instances", type=int, default=30)
+    p.add_argument("--instances", type=int, action=_Given, default=30)
 
     p = sub.add_parser("gallery", help="write every desk example algebra as a file")
     p.add_argument("--output-dir", default="gallery")
@@ -345,6 +353,9 @@ def _dispatch(args) -> int:
             return 2
         if args.instances < 1:
             raise ValueError(f"--instances must be at least 1, got {args.instances}")
+        for name in ("samples", "instances", "tol"):
+            if getattr(args, f"given_{name}", False) and name not in SUITES[args.suite][1]:
+                raise ValueError(f"suite {args.suite} does not read --{name}")
         rep = run_suite(args.suite, seed=args.seed, samples=args.samples, instances=args.instances, tol=args.tol)
         text = f"suite {rep.name}: {'pass' if rep.passed else 'FAIL'} ({len(rep.checks)} checks)"
         _emit(args, rep, "\n".join([text] + [f"  FAIL {c.name}: {c.detail}" for c in rep.checks if not c.passed]))

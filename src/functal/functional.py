@@ -14,9 +14,8 @@ stab(d_i/d_j) is spanned by the single matrix unit E_{i,j}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Mapping, Sequence
 
 from . import algebra as alg_mod
@@ -89,6 +88,8 @@ class Functional:
 
     algebra: Algebra
     coords: Vector
+    # the pairing matrix, memoised by gram(); not part of the value
+    _gram: RatMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", vec(self.coords))
@@ -229,9 +230,12 @@ class Subspace:
 
 
 def gram(f: Functional) -> RatMatrix:
-    """Pairing matrix with entry (i,j) = F(e_i e_j); linear in F."""
-    x = f.coords
-    return RatMatrix([[sum(x[k] * c for k, c in cell) for cell in row] for row in f.algebra.table])
+    """Pairing matrix with entry (i,j) = F(e_i e_j); linear in F.  Computed once per functional."""
+    if f._gram is None:
+        x = f.coords
+        m = RatMatrix([[sum(x[k] * c for k, c in cell) for cell in row] for row in f.algebra.table])
+        object.__setattr__(f, "_gram", m)
+    return f._gram
 
 
 def b_form(f: Functional) -> RatMatrix:
@@ -246,16 +250,15 @@ def q_form(f: Functional) -> RatMatrix:
     return m + m.transpose()
 
 
-def pencil_at(m: RatMatrix, alpha) -> RatMatrix:
-    """c*(M^T - alpha*M) with integer entries, c = v*d for alpha = u/v in lowest
+def pencil_at(m: RatMatrix, alpha) -> tuple[tuple[int, ...], ...]:
+    """Integer rows of c*(M^T - alpha*M), c = v*d for alpha = u/v in lowest
     terms (v > 0) and d the lcm of M's denominators; d*M at alpha = infinity."""
     alpha = Alpha.of(alpha)
-    d = lcm(*(x.denominator for row in m.data for x in row))
+    _, ints = m.integer_form()
     if alpha.is_infinite:
-        return m if d == 1 else m.scale(d)
-    ints = [[x.numerator * (d // x.denominator) for x in row] for row in m.data]
+        return ints
     u, v = alpha.value.numerator, alpha.value.denominator
-    return RatMatrix([[v * x - u * y for x, y in zip(col, row)] for col, row in zip(zip(*ints), ints)])
+    return tuple(tuple(v * x - u * y for x, y in zip(col, row)) for col, row in zip(zip(*ints), ints))
 
 
 def stab(f: Functional, alpha) -> Subspace:

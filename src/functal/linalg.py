@@ -3,13 +3,13 @@
 Matrices are immutable row-major tuples of Fraction entries.  Every
 elimination is one fraction-free loop, `_eliminate` (single-step Bareiss,
 Math. Comp. 22, 1968), over the integers or over polynomials.  `det` scales
-the rows to integers (integer rows go in as they are) and returns the signed
-last pivot over the scale.
+the rows to integers and returns the signed last pivot over the scale.
 `rref` scales the rows, eliminates and back-substitutes over the integers;
 with d the last pivot, d times each reduced row is an integer row, so the
 only fractions are the final entries x/d (Nakos, Turner, Williams, SIGSAM
-Bull. 31, 1997).  Kernels come back as reduced-echelon bases, so a given row
-space always produces the same basis bit for bit.
+Bull. 31, 1997).  `det`, `kernel` and `rank` take a `RatMatrix` or integer
+rows, which go into the elimination as they are.  Kernel bases follow sympy's
+`nullspace`, so a given row space always produces the same basis bit for bit.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def vec_is_zero(a: Vector) -> bool:
 class RatMatrix:
     """Immutable dense matrix over Fraction."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "data", "_integer_form")
 
     def __init__(self, rows_data: Sequence[Sequence]):
         data = tuple(tuple(rat(x) for x in row) for row in rows_data)
@@ -61,6 +61,14 @@ class RatMatrix:
         self.cols = len(data[0]) if data else 0
         if any(len(row) != self.cols for row in data):
             raise ValueError("ragged rows")
+        self._integer_form = None
+
+    def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """(d, rows of d * self) for d the lcm of the denominators; computed once."""
+        if self._integer_form is None:
+            d = lcm(*(x.denominator for row in self.data for x in row))
+            self._integer_form = d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in self.data)
+        return self._integer_form
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
@@ -130,8 +138,11 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix(out)
 
 
-def _integer_rows(rows: Sequence[Vector]) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those lcms."""
+def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """Each row times the lcm of its denominators, and the product of those
+    lcms; integer rows come back as copies, with scale 1."""
+    if all(type(x) is int for row in rows for x in row):
+        return [list(row) for row in rows], 1
     scale = 1
     out: list[list[int]] = []
     for row in rows:
@@ -182,8 +193,8 @@ def _eliminate(rows: list[list], zero, div: Callable) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def rref(rows: Sequence[Vector]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form of a list of vectors.
+def rref(rows: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
+    """Reduced row echelon form of a list of rational or integer vectors.
 
     Returns (nonzero rows, pivot column indices); deterministic for any
     spanning set of the same row space.
@@ -217,17 +228,20 @@ def rref(rows: Sequence[Vector]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
     return tuple(out), tuple(pivots)
 
 
-def kernel(m: RatMatrix) -> list[Vector]:
-    """Reduced-echelon basis of {v : m @ v = 0}.
+def kernel(m: RatMatrix | Sequence[Sequence[int]]) -> list[Vector]:
+    """Basis of {v : m @ v = 0} for a rational matrix or integer rows.
 
-    The basis vector for free column f has entry 1 at f and the negated
-    pivot-column coefficients elsewhere; vectors are ordered by free column.
+    One vector per free column f, in order: 1 at f, 0 at the other free
+    columns, minus the reduced-echelon coefficient of column f at each pivot
+    column (sympy's `nullspace`): kernel([[1, 2, 3]]) is [(-2, 1, 0), (-3, 0, 1)].
     """
-    reduced, pivots = rref(m.data)
-    free = [c for c in range(m.cols) if c not in pivots]
+    rows = m.data if isinstance(m, RatMatrix) else m
+    cols = len(rows[0]) if rows else 0
+    reduced, pivots = rref(rows)
+    free = [c for c in range(cols) if c not in pivots]
     basis: list[Vector] = []
     for f in free:
-        v = [Fraction(0)] * m.cols
+        v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for r_idx, p in enumerate(pivots):
             v[p] = -reduced[r_idx][f]
@@ -235,8 +249,9 @@ def kernel(m: RatMatrix) -> list[Vector]:
     return basis
 
 
-def rank(m: RatMatrix) -> int:
-    _, pivots = rref(m.data)
+def rank(m: RatMatrix | Sequence[Sequence[int]]) -> int:
+    """Rank of a rational matrix or of integer rows."""
+    _, pivots = rref(m.data if isinstance(m, RatMatrix) else m)
     return len(pivots)
 
 
@@ -253,7 +268,7 @@ def inverse(m: RatMatrix) -> RatMatrix:
 
 def det(m: RatMatrix | Sequence[Sequence[int]]) -> Fraction:
     """Exact determinant of a rational matrix or of integer rows (0x0 gives 1)."""
-    ints, scale = _integer_rows(m.data) if isinstance(m, RatMatrix) else ([list(row) for row in m], 1)
+    ints, scale = _integer_rows(m.data if isinstance(m, RatMatrix) else m)
     n = len(ints)
     if any(len(row) != n for row in ints):
         raise ValueError("determinant of a non-square matrix")

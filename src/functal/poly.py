@@ -6,9 +6,9 @@ leading terms, normalization) is graded lexicographic, descending.
 
 The two-variable pencil polynomial det(lam*P + mu*Q) has its own subclass
 ``BivariatePoly`` with the fixed variable pair ("lam", "mu"); ``pencil_det``
-computes it exactly by interpolating the univariate slice r(t) = det(t*P + Q)
-at n+1 nodes and homogenizing, each node an integer matrix.  For Q = P^T,
-r(1/k) = r(k)/k^n, so each integer node k beyond 0, 1, -1 also gives 1/k.
+computes it exactly by interpolating the integer slice R(t) = det(t*dP + dQ)
+over Z and homogenizing, dividing by d^n once at the end.  For Q = P^T, R is
+palindromic and half the nodes suffice.
 
 From there to the roots the coefficients stay in Z: the squarefree
 decomposition runs Yun's algorithm (SYMSAC '76) on the primitive integer
@@ -650,13 +650,17 @@ def uni_roots(p: UnivariatePoly) -> list[tuple[Fraction | ComplexApprox, int]]:
 def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     """Exact det(lam*P + mu*Q) for square rational P, Q of equal size.
 
-    Computed by interpolating r(t) = det(t*P + Q) at n+1 nodes and
-    homogenizing: chi(lam, mu) = sum r_k lam^k mu^(n-k).  With d the common
-    denominator of P and Q, each node t is the integer matrix t*dP + dQ, and
-    r(t) is its determinant over d^n.  A general pencil takes t = 0..n.  For
-    Q = P^T, det(P + k*P^T) = det(k*P + P^T) by transposition, so
-    r(1/k) = r(k)/k^n: the nodes are t = 0, 1, -1 and then k and 1/k for
-    k = 2, -2, 3, -3, ..., one determinant per integer k.
+    With d the common denominator of P and Q, R(t) = det(t*dP + dQ) is an
+    integer polynomial of degree at most n, and
+    chi(lam, mu) = sum R_k lam^k mu^(n-k) / d^n.  A general pencil takes R at
+    t = 0..n; forward differences, divided exactly by j at step j, give R in
+    the falling-factorial basis, which expands to monomials over Z.  For
+    Q = P^T, det(t*P + P^T) = t^n det(P/t + P^T) makes R palindromic
+    (R_k = R_(n-k)), so its h+1 free coefficients, h = n//2, come from
+    t = 0..h by one rref of the integer system [t^j + t^(n-j) | R(t)] (t^j
+    alone when j = n-j).  A palindromic polynomial vanishing at 0..h also
+    vanishes at 1/2..1/h, and at -1 for odd n, more roots than its degree
+    allows, so that system is nonsingular.
     """
     if not (p.is_square() and q.is_square() and p.rows == q.rows):
         raise ValueError("pencil_det needs equal square matrices")
@@ -665,45 +669,24 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
         return BivariatePoly({(0, 0): Fraction(1)})
     d = math.lcm(*(x.denominator for m in (p, q) for row in m.data for x in row))
     ip, iq = ([[x.numerator * (d // x.denominator) for x in row] for row in m.data] for m in (p, q))
-    dn = d**n
     reciprocal = iq == [list(col) for col in zip(*ip)]
-    ts = [0, 1, -1] + [sign * k for k in range(2, n) for sign in (1, -1)] if reciprocal else range(n + 1)
-    nodes: list[Fraction] = []
-    values: list[Fraction] = []
-    for t in ts:
-        if len(nodes) > n:
-            break
-        r = linalg.det([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)]) / dn
-        nodes.append(Fraction(t))
-        values.append(r)
-        if reciprocal and abs(t) > 1 and len(nodes) <= n:
-            nodes.append(Fraction(1, t))
-            values.append(r / t**n)
-    coeffs = _interpolate(nodes, values)
-    return BivariatePoly({(k, n - k): c for k, c in enumerate(coeffs) if c != 0})
-
-
-def _interpolate(nodes: list[Fraction], values: list[Fraction]) -> list[Fraction]:
-    """Coefficients (low to high) of the interpolating polynomial, exact."""
-    n = len(nodes)
-    # Newton divided differences
-    table = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            table[i] = (table[i] - table[i - 1]) / (nodes[i] - nodes[i - j])
-    coeffs = [Fraction(0)] * n
-    basis = [Fraction(1)] + [Fraction(0)] * (n - 1)
-    for k in range(n):
-        for i in range(n):
-            coeffs[i] += table[k] * basis[i]
-        if k < n - 1:
-            new_basis = [Fraction(0)] * n
-            for i in range(n - 1):
-                if basis[i] != 0:
-                    new_basis[i + 1] += basis[i]
-                    new_basis[i] -= nodes[k] * basis[i]
-            basis = new_basis
-    return coeffs
+    h = n // 2 if reciprocal else n
+    r = [linalg.det([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)]).numerator for t in range(h + 1)]
+    if reciprocal:
+        system = [[t**j + t ** (n - j) if 2 * j < n else t**j for j in range(h + 1)] + [y] for t, y in enumerate(r)]
+        half = [row[-1].numerator for row in linalg.rref(system)[0]]
+        coeffs = half + half[n - h - 1 :: -1]
+    else:
+        for j in range(1, n + 1):
+            for i in range(n, j - 1, -1):
+                r[i] = (r[i] - r[i - 1]) // j
+        # r[j] is now the coefficient of t(t-1)...(t-j+1); Horner in that basis
+        coeffs = [r[n]]
+        for j in range(n - 1, -1, -1):
+            coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            coeffs[0] += r[j]
+    dn = d**n
+    return BivariatePoly({(k, n - k): Fraction(c, dn) for k, c in enumerate(coeffs) if c})
 
 
 def generalized_resultant(p: UnivariatePoly, q: UnivariatePoly) -> BivariatePoly:

@@ -290,13 +290,13 @@ def jordan_spaces(f: Functional, alpha, alpha0=None) -> JordanFiltration:
             raise ValueError("alpha0 must differ from alpha")
         if det(pencil_at(m, alpha0)) == 0:
             raise NoRegularAlpha0(f"pencil is singular at alpha0={alpha0}")
-    p = pencil_at(m, alpha).data
-    b = [[x.numerator for x in row] for row in pencil_at(m, alpha0).data]
+    p = pencil_at(m, alpha)
+    b = pencil_at(m, alpha0)
     n = f.algebra.dim
     levels: list[Subspace] = []
     image: list[list[int]] = []
     while True:
-        ker = kernel(RatMatrix([row + tuple(c[i] for c in image) for i, row in enumerate(p)]))
+        ker = kernel([row + tuple(c[i] for c in image) for i, row in enumerate(p)])
         level = Subspace(f.algebra, [x[:n] for x in ker])
         if levels and level.dim == levels[-1].dim:
             break

@@ -346,17 +346,20 @@ def tensor_stab_suite_all(seed: int = 0) -> SuiteReport:
     return SuiteReport("tensor-stab", tuple(checks), seed)
 
 
+# name -> (suite, the run_suite options it reads besides the seed)
 SUITES = {
-    "stab-props": lambda seed, samples, instances, tol: stab_props_suite(seed),
-    "vk-props": lambda seed, samples, instances, tol: vk_props_suite(seed),
-    "cayley": lambda seed, samples, instances, tol: cayley_suite(seed, instances, tol),
-    "tensor-chi": lambda seed, samples, instances, tol: tensor_chi_suite(seed),
-    "regular-corollaries": lambda seed, samples, instances, tol: regular_corollaries_suite(seed, samples),
-    "tensor-stab": lambda seed, samples, instances, tol: tensor_stab_suite_all(seed),
+    "stab-props": (stab_props_suite, ()),
+    "vk-props": (vk_props_suite, ()),
+    "cayley": (cayley_suite, ("instances", "tol")),
+    "tensor-chi": (tensor_chi_suite, ()),
+    "regular-corollaries": (regular_corollaries_suite, ("samples",)),
+    "tensor-stab": (tensor_stab_suite_all, ()),
 }
 
 
 def run_suite(name: str, seed: int = 0, samples: int = 8, instances: int = 30, tol: float = 1e-6) -> SuiteReport:
     if name not in SUITES:
         raise KeyError(name)
-    return SUITES[name](seed, samples, instances, tol)
+    suite, reads = SUITES[name]
+    options = {"samples": samples, "instances": instances, "tol": tol}
+    return suite(seed, **{k: options[k] for k in reads})

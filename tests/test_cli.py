@@ -15,6 +15,7 @@ from functal.gallery import INVERTIBLE_B, JORDAN_BLOCK_B, gallery_algebras
 from functal.report import to_json
 from functal.sampling import SamplerConfig
 from functal.spectrum import classify, index, jordan_spaces, regularity_corollary_suite, spectrum
+from functal.suites import run_suite
 from functal.tensor import conjecture_probe, mat_tensor_index_experiment, tensor_char_check, tensor_stab_suite
 
 # SHA-256 of the stdout of each command, each recorded once before a rewrite
@@ -65,6 +66,14 @@ def assert_one_line_error(err, *words):
         (["verify", "stab-props", "--workers", "0"], ["input error", "--workers"]),
         (["verify", "cayley", "--tol", "nan"], ["input error", "--tol"]),
         (["verify", "cayley", "--tol", "-1"], ["input error", "--tol"]),
+        # a suite that does not read a flag refuses it, even at its default value
+        (["verify", "stab-props", "--samples", "3", "--instances", "5", "--tol", "0.5"], ["input error", "--samples"]),
+        (["verify", "vk-props", "--instances", "5"], ["input error", "vk-props", "--instances"]),
+        (["verify", "tensor-chi", "--tol", "1e-6"], ["input error", "tensor-chi", "--tol"]),
+        (["verify", "regular-corollaries", "--tol", "0.5"], ["input error", "--tol"]),
+        (["verify", "cayley", "--samples", "8"], ["input error", "cayley", "--samples"]),
+        (["--samples", "3", "verify", "tensor-stab"], ["input error", "--samples"]),
+        (["verify", "stab-props", "--sam", "3"], ["input error", "--samples"]),
         (["tensor", "--algebra", "mat:2", "--algebra-b", "ut:2", "--tol", "inf"], ["input error", "--tol"]),
     ],
 )
@@ -105,6 +114,20 @@ def test_output_file_restores_the_callers_stdout(tmp_path):
         print("after")
         assert cli.run(["chi", "--algebra", "mat:2", "--format", "json"]) == 0
     assert buf.getvalue() == "after\n" + path.read_text()
+
+
+@pytest.mark.parametrize(
+    "argv, suite, options",
+    [
+        (["verify", "cayley", "--instances", "2", "--tol", "0.5"], "cayley", {"instances": 2, "tol": 0.5}),
+        (["--samples", "2", "verify", "regular-corollaries"], "regular-corollaries", {"samples": 2}),
+        (["verify", "stab-props", "--seed", "1", "--workers", "2"], "stab-props", {"seed": 1}),
+    ],
+)
+def test_verify_passes_the_flags_its_suite_reads(capsys, tmp_path, argv, suite, options):
+    path = tmp_path / "report.json"
+    assert run(capsys, *argv, "--format", "json", "--output", str(path)) == (0, "", "")
+    assert path.read_text() == json.dumps(to_json(run_suite(suite, **options)), sort_keys=True) + "\n"
 
 
 def test_sampler_config_rejects_empty_sample_counts():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import lcm
 
 import pytest
 
@@ -225,6 +226,15 @@ def test_kernel_rank_det_inverse_match_sympy():
                 assert inverse(m) == RatMatrix([[from_sympy(inv[i, j]) for j in range(m.cols)] for i in range(m.rows)])
     assert rref([]) == ((), ())
     assert kernel(RatMatrix([])) == [] and rank(RatMatrix([])) == 0
+
+
+def test_kernel_and_rank_take_integer_rows():
+    for rows in sample_matrices(random.Random(7)) + [[], [[], []], [[Q(0)] * 3 for _ in range(2)]]:
+        # each row times the lcm of its denominators has the same kernel and rank
+        ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+        assert kernel(ints) == kernel(RatMatrix(rows)), rows
+        assert rank(ints) == rank(RatMatrix(rows)), rows
+    assert kernel([[1, 2, 3]]) == [(Q(-2), Q(1), Q(0)), (Q(-3), Q(0), Q(1))]
 
 
 def _matrices(st, max_rows=5, max_cols=6):

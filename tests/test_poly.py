@@ -10,6 +10,7 @@ import pytest
 from functal.algebra import nilpotent_pair
 from functal.errors import ZeroPolynomial
 from functal.functional import Functional, gram
+from functal import linalg
 from functal.linalg import RatMatrix, ff_det
 from functal.poly import (
     LAM,
@@ -282,6 +283,62 @@ def test_reciprocal_pencil_det_matches_sympy_berkowitz():
             assert (0, n) not in got.terms, name
         if name.startswith("nilpotent") or (name.startswith("skew") and n % 2):
             assert got.is_zero(), name
+
+
+def test_pencil_det_node_counts(monkeypatch):
+    # floor(n/2)+1 determinants for Q = P^T, n+1 for a general pencil
+    calls = []
+    real = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda m: calls.append(len(m)) or real(m))
+    rng = random.Random(13)
+    for n in range(1, 9):
+        p, q = (RatMatrix([[Q(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]) for _ in range(2))
+        calls.clear()
+        pencil_det(p, p.transpose())
+        assert calls == [n] * (n // 2 + 1)
+        calls.clear()
+        pencil_det(p, q)
+        assert calls == [n] * (n + 1)
+
+
+def test_pencil_det_matches_sympy_at_small_and_large_n():
+    """General and reciprocal pencils at n = 1, 2, 3, 9, 10, with a singular M
+    (chi of deficient degree) and a nilpotent-pair Gram matrix (chi = 0)."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.QQ[sympy.symbols("lam mu")]
+    lam, mu = ring.gens
+    r = lambda x: sympy.QQ(x.numerator, x.denominator)
+    rng = random.Random(14)
+
+    def entry():
+        return Q(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 11)))
+
+    def transpose(m):
+        return [list(col) for col in zip(*m)]
+
+    for n in (1, 2, 3, 9, 10):
+        p, q = ([[entry() for _ in range(n)] for _ in range(n)] for _ in range(2))
+        sing = [row[:] for row in p]
+        sing[-1] = [2 * x for x in sing[0]] if n > 1 else [Q(0)]
+        cases = {"general": (p, q), "reciprocal": (p, transpose(p)), "singular": (sing, q),
+                 "singular reciprocal": (sing, transpose(sing))}
+        if n > 1:
+            b = [[rng.randint(-9, 9) for _ in range(n - 1)] for _ in range(n - 1)]
+            g = [list(row) for row in gram(Functional(nilpotent_pair(b), tuple(entry() for _ in range(n)))).data]
+            cases["nilpotent pair"] = (g, transpose(g))
+        for name, (a, c) in cases.items():
+            pencil = DomainMatrix([[lam * r(x) + mu * r(y) for x, y in zip(u, w)] for u, w in zip(a, c)], (n, n), ring)
+            want = (-1) ** n * pencil.charpoly()[-1]
+            got = pencil_det(RatMatrix(a), RatMatrix(c))
+            assert got.terms == {e: Q(int(x.numerator), int(x.denominator)) for e, x in want.terms()}, (n, name)
+            if name.startswith("singular"):
+                assert (n, 0) not in got.terms, (n, name)
+            if name == "singular reciprocal":
+                assert (0, n) not in got.terms, n
+            if name == "nilpotent pair":
+                assert got.is_zero(), n
 
 
 def test_reciprocal_pencil_det_matches_symbolic_bareiss_property():
