@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Sequence
 
 from .errors import AlgebraMismatch, AlgebraParseError, AssociativityViolation
@@ -82,6 +84,12 @@ class Algebra:
     @property
     def dim(self) -> int:
         return len(self.labels)
+
+    @cached_property
+    def integer_table(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
+        """(d, the table with every coefficient times d), d the lcm of their denominators."""
+        d = lcm(*(c.denominator for row in self.table for cell in row for _, c in cell))
+        return d, tuple(tuple(tuple((k, c.numerator * d // c.denominator) for k, c in cell) for cell in row) for row in self.table)
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))

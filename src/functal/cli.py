@@ -49,7 +49,7 @@ from .suites import SUITES, run_suite
 from .tensor import conjecture_probe, tensor_char_check, tensor_stab_suite
 
 ANALYSIS_ERRORS = (NoRegularAlpha0, NotType1, NotAnIdeal, ZeroPolynomial)
-INPUT_ERRORS = (AlgebraParseError, EnvelopeExceeded, NotMatrixAlgebra, FileNotFoundError, json.JSONDecodeError, ValueError, KeyError)
+INPUT_ERRORS = (AlgebraParseError, EnvelopeExceeded, NotMatrixAlgebra, OSError, json.JSONDecodeError, ValueError, KeyError)
 
 
 def load_algebra(spec: str) -> Algebra:
@@ -71,6 +71,8 @@ def load_algebra(spec: str) -> Algebra:
             return ac.nilpotent_pair(data)
         if kind == "tensor":
             left, _, right = arg.partition(";")
+            if not left or not right:
+                raise AlgebraParseError("tensor spec needs 'tensor:left;right'")
             return ac.tensor_product(load_algebra(left), load_algebra(right))
         raise AlgebraParseError(f"unknown constructor spec {spec!r}")
     return parse_algebra(Path(spec).read_text())
@@ -210,10 +212,10 @@ def run(argv: list[str] | None = None) -> int:
             argv[i - 1 : i + 1] = [f"--alpha={argv[i]}"]
     args = ap.parse_args(argv)
     out_path = getattr(args, "output", None)
-    if out_path:
-        prev_stdout = sys.stdout
-        sys.stdout = open(out_path, "w")  # noqa: SIM115 - closed in the finally below
+    prev_stdout = sys.stdout
     try:
+        if out_path:
+            sys.stdout = open(out_path, "w")  # noqa: SIM115 - closed in the finally below
         return _dispatch(args)
     except ANALYSIS_ERRORS as e:
         print(f"analysis refused: {e}", file=sys.stderr)
@@ -225,7 +227,7 @@ def run(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     finally:
-        if out_path:
+        if sys.stdout is not prev_stdout:
             sys.stdout.close()
             sys.stdout = prev_stdout
 

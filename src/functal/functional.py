@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import algebra as alg_mod
@@ -230,11 +231,14 @@ class Subspace:
 
 
 def gram(f: Functional) -> RatMatrix:
-    """Pairing matrix with entry (i,j) = F(e_i e_j); linear in F.  Computed once per functional."""
+    """Pairing matrix with entry (i,j) = F(e_i e_j); linear in F.  Computed once per
+    functional, over Z with the common denominators of F and of the table."""
     if f._gram is None:
-        x = f.coords
-        m = RatMatrix([[sum(x[k] * c for k, c in cell) for cell in row] for row in f.algebra.table])
-        object.__setattr__(f, "_gram", m)
+        dx = lcm(*(x.denominator for x in f.coords))
+        x = [c.numerator * (dx // c.denominator) for c in f.coords]
+        dt, table = f.algebra.integer_table
+        rows = tuple(tuple(sum(x[k] * c for k, c in cell) for cell in row) for row in table)
+        object.__setattr__(f, "_gram", RatMatrix.from_integer_form(dx * dt, rows))
     return f._gram
 
 

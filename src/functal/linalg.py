@@ -10,19 +10,26 @@ only fractions are the final entries x/d (Nakos, Turner, Williams, SIGSAM
 Bull. 31, 1997).  `det`, `kernel` and `rank` take a `RatMatrix` or integer
 rows, which go into the elimination as they are.  Kernel bases follow sympy's
 `nullspace`, so a given row space always produces the same basis bit for bit.
+Outside that loop, `rank_mod_p` is a word-size rank over GF(PRIME), never
+above the rank over Q (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .errors import SingularMatrix
 from .scalars import rat
 
 Vector = tuple[Fraction, ...]
+
+# the largest prime below 2**31 - 1; PRIME**2 < 2**62, so no int64 product overflows
+PRIME = 2147483629
 
 
 def vec(entries) -> Vector:
@@ -69,6 +76,18 @@ class RatMatrix:
             d = lcm(*(x.denominator for row in self.data for x in row))
             self._integer_form = d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in self.data)
         return self._integer_form
+
+    @classmethod
+    def from_integer_form(cls, d: int, rows: tuple[tuple[int, ...], ...]) -> "RatMatrix":
+        """The matrix rows/d for an integer d > 0, with its integer form kept."""
+        g = gcd(d, *(x for row in rows for x in row))
+        if g > 1:
+            d, rows = d // g, tuple(tuple(x // g for x in row) for row in rows)
+        # equal entries share one Fraction, which is immutable
+        frac = {x: Fraction(x, d) for x in {x for row in rows for x in row}}
+        m = cls([map(frac.__getitem__, row) for row in rows])
+        m._integer_form = d, rows
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
@@ -251,8 +270,25 @@ def kernel(m: RatMatrix | Sequence[Sequence[int]]) -> list[Vector]:
 
 def rank(m: RatMatrix | Sequence[Sequence[int]]) -> int:
     """Rank of a rational matrix or of integer rows."""
-    _, pivots = rref(m.data if isinstance(m, RatMatrix) else m)
-    return len(pivots)
+    ints, _ = _integer_rows(m.data if isinstance(m, RatMatrix) else m)
+    return len(_eliminate(ints, 0, operator.floordiv)[0])
+
+
+def rank_mod_p(rows: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(PRIME) of integer rows: at most their rank r over Q, and
+    below r only when PRIME divides every r x r minor."""
+    a = np.array([[x % PRIME for x in row] for row in rows], dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+    r = 0
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[r:, c])
+        if nonzero.size:
+            a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+            a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, PRIME) % PRIME
+            a[r + 1 :, c:] = (a[r + 1 :, c:] - a[r + 1 :, c, None] * a[r, c:]) % PRIME
+            r += 1
+            if r == len(a):
+                break
+    return r
 
 
 def inverse(m: RatMatrix) -> RatMatrix:

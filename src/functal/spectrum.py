@@ -38,7 +38,7 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import RatMatrix, Vector, det, ff_det, kernel
+from .linalg import RatMatrix, Vector, det, ff_det, kernel, rank_mod_p
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
@@ -336,18 +336,25 @@ def classify(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> Classifi
     With zero minimal nil dimension the verdict is Type1 exactly when some
     sampled chi is nonzero; otherwise the nil space of a minimal witness is
     completed to a complement V and the verdict is Type2 exactly when some
-    sampled chi restricted to V is nonzero.
+    sampled chi restricted to V is nonzero.  Nil dimensions, of ker [M ; M^T],
+    are screened as in `find_regular`, with the same guarantees for
+    ``min_nil_dim``; a screened minimum of 0 is exact already.
     """
     fs = sample_functionals(alg, sampler)
-    nil_dims = [nil(f).dim for f in fs]
+    nil_dims = [alg.dim - rank_mod_p(pencil_at(m, ALPHA_INF) + pencil_at(m, Alpha(0))) for m in map(gram, fs)]
+    witness = fs[nil_dims.index(min(nil_dims))]
+    witness_nil = nil(witness) if min(nil_dims) else None
+    if witness_nil is not None and witness_nil.dim != min(nil_dims):
+        nil_dims = [nil(f).dim for f in fs]
+        witness = fs[nil_dims.index(min(nil_dims))]
+        witness_nil = nil(witness)
     min_nil = min(nil_dims)
     if min_nil == 0:
         for f in fs:
             if not char_poly_raw(f).is_zero():
                 return ClassificationReport(TYPE1, 0, (f,), sampler.samples, sampler.seed)
         return ClassificationReport(TYPE3, 0, tuple(fs[:1]), sampler.samples, sampler.seed)
-    witness = fs[nil_dims.index(min_nil)]
-    v = canonical_complement(nil(witness))
+    v = canonical_complement(witness_nil)
     for f in fs:
         if not char_poly_raw(f, v).is_zero():
             return ClassificationReport(TYPE2, min_nil, (witness, f), sampler.samples, sampler.seed)
@@ -369,16 +376,25 @@ def _stab_dim_at(args) -> int:
 
 
 def find_regular(alg: Algebra, alpha, sampler: SamplerConfig = SamplerConfig()) -> tuple[Functional, int]:
-    """Sampled functional achieving the minimal observed dim stab(alpha)."""
+    """Sampled functional achieving the minimal observed dim stab(alpha).
+
+    Each sample is screened by n - rank over GF(PRIME) of its pencil, at least
+    dim stab(alpha).  The dimension returned is exact at the witness; if it
+    differs from the screen, the exact dims of all samples decide.  A sample is
+    misjudged as non-minimal only if PRIME divides every maximal minor of its pencil.
+    """
     alpha = Alpha.of(alpha)
     fs = sample_functionals(alg, sampler)
-    dims = pmap(_stab_dim_at, [(f, alpha) for f in fs], sampler.workers)
-    best = min(range(len(fs)), key=lambda i: dims[i])
+    dims = [alg.dim - rank_mod_p(pencil_at(gram(f), alpha)) for f in fs]
+    best = dims.index(min(dims))
+    if stab(fs[best], alpha).dim != dims[best]:
+        dims = pmap(_stab_dim_at, [(f, alpha) for f in fs], sampler.workers)
+        best = dims.index(min(dims))
     return fs[best], dims[best]
 
 
 def index(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> IndexReport:
-    """Minimal sampled dim stab(1) with its witness."""
+    """Minimal sampled dim stab(1), exact at its witness (see `find_regular`)."""
     witness, dim = find_regular(alg, Alpha(1), sampler)
     return IndexReport(dim, witness, sampler.samples, sampler.seed)
 

@@ -26,6 +26,10 @@ from functal.tensor import conjecture_probe, mat_tensor_index_experiment, tensor
 # keeps them.  A key with <...> names an input, or a report no verb prints,
 # that its own test below builds.
 DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "cli_output_sha256.json").read_text())
+# `index` and `classify --format json` on mat:6, mat:5, ut:6, tensor:mat:2;ut:3
+# and seaweed:2,2,1;1,3,1 at seeds 0-9, recorded before the mod-p screen of
+# the sampled dimensions, which keeps them
+SAMPLING_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "sampling_index_classify_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -75,6 +79,10 @@ def assert_one_line_error(err, *words):
         (["--samples", "3", "verify", "tensor-stab"], ["input error", "--samples"]),
         (["verify", "stab-props", "--sam", "3"], ["input error", "--samples"]),
         (["tensor", "--algebra", "mat:2", "--algebra-b", "ut:2", "--tol", "inf"], ["input error", "--tol"]),
+        (["index", "--algebra", "mat:2", "--output", "/nonexistent/dir/x.json"], ["input error", "x.json"]),
+        (["index", "--algebra", "mat:2", "--output", "."], ["input error", "directory"]),
+        (["index", "--algebra", "tensor:mat:2"], ["input error", "tensor:left;right"]),
+        (["index", "--algebra", "tensor:;mat:2"], ["input error", "tensor:left;right"]),
     ],
 )
 def test_bad_input_exits_2_with_one_line(capsys, argv, words):
@@ -218,6 +226,13 @@ def test_output_is_byte_identical_to_the_recorded_digest(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and err == ""
     assert sha256(out) == DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(SAMPLING_DIGESTS))
+def test_sampled_index_and_type_are_byte_identical(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert sha256(out) == SAMPLING_DIGESTS[command]
 
 
 @pytest.mark.parametrize("name, b", [("INVERTIBLE_B", INVERTIBLE_B), ("JORDAN_BLOCK_B", JORDAN_BLOCK_B)])

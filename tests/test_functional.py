@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from functal.algebra import direct_sum, mat, nilpotent_pair, seaweed, tensor_product, ut
+from functal.algebra import Algebra, direct_sum, mat, nilpotent_pair, seaweed, tensor_product, ut
 from functal.errors import AlgebraMismatch, NotMatrixAlgebra, SingularMatrix
 from functal.functional import (
     ALPHA_INF,
@@ -76,6 +76,23 @@ def test_gram_mat2_values_match_direct_products():
 def test_gram_ut2_all_ones():
     f = Functional(ut(2), (Q(1), Q(1), Q(1)))
     assert gram(f) == RatMatrix([[1, 1, 0], [0, 0, 1], [0, 0, 1]])
+
+
+def test_gram_over_the_integers_matches_fraction_sums():
+    # rational structure constants and coordinates; the oracle sums Fraction products
+    rng = random.Random(3)
+    for base in (mat(2), seaweed([2, 1], [1, 2]), tensor_product(ut(2), ut(2))):
+        table = [
+            [tuple((k, c * Q(rng.randint(1, 9), rng.choice([1, 2, 3, 4]))) for k, c in cell) for cell in row]
+            for row in base.table
+        ]
+        for alg in (base, Algebra(base.labels, table)):
+            for denoms in ([1], [1, 2, 3, 6], [5, 7], None):
+                x = tuple(Q(rng.randint(-9, 9), rng.choice(denoms)) if denoms else Q(0) for _ in range(alg.dim))
+                m = gram(Functional(alg, x))
+                want = RatMatrix([[sum((x[k] * c for k, c in cell), Q(0)) for cell in row] for row in alg.table])
+                assert m.data == want.data and all(type(v) is Q for row in m.data for v in row)
+                assert m.integer_form() == want.integer_form()
 
 
 def test_gram_is_linear_in_f():

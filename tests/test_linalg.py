@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 
 from functal.linalg import (
+    PRIME,
     RatMatrix,
     det,
     ff_det,
@@ -12,6 +13,7 @@ from functal.linalg import (
     kernel,
     kron,
     rank,
+    rank_mod_p,
     rref,
     vec,
 )
@@ -235,6 +237,37 @@ def test_kernel_and_rank_take_integer_rows():
         assert kernel(ints) == kernel(RatMatrix(rows)), rows
         assert rank(ints) == rank(RatMatrix(rows)), rows
     assert kernel([[1, 2, 3]]) == [(Q(-2), Q(1), Q(0)), (Q(-3), Q(0), Q(1))]
+
+
+def test_rank_mod_p_matches_rank_on_integer_rows():
+    for rows in sample_matrices(random.Random(8)) + [[], [[], []], [[0] * 3 for _ in range(2)]]:
+        ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
+        assert rank_mod_p(ints) == rank(ints), rows
+    # below the rank over Q only when PRIME divides every maximal minor
+    assert rank_mod_p([[PRIME]]) == 0 and rank_mod_p([[1, 0], [0, PRIME]]) == 1
+    assert rank_mod_p([[PRIME - 1, 2**64], [1, -(2**64)]]) == 1 < rank([[PRIME - 1, 2**64], [1, -(2**64)]])
+
+
+def test_rank_mod_p_reduces_entries_beyond_the_word():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # an entry x + k*PRIME with |x| <= 9: negative, at least PRIME, past 2**63, or a multiple of PRIME
+    lift = st.sampled_from([0, 0, 1, -1, 3, 2**33, -(2**40), 2**64])
+    entries = st.tuples(st.integers(-9, 9), lift)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(
+        rows=st.tuples(st.integers(0, 7), st.integers(0, 7)).flatmap(
+            lambda rc: st.lists(st.lists(entries, min_size=rc[1], max_size=rc[1]), min_size=rc[0], max_size=rc[0])
+        )
+    )
+    def check(rows):
+        small = [[x for x, _ in row] for row in rows]
+        lifted = [[x + k * PRIME for x, k in row] for row in rows]
+        assert rank_mod_p(lifted) == rank_mod_p(small) == rank(small)
+        assert rank_mod_p([[k * PRIME for _, k in row] for row in rows]) == 0
+
+    check()
 
 
 def _matrices(st, max_rows=5, max_cols=6):

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction as Q
 
@@ -15,9 +16,9 @@ from functal.algebra import (
 from functal.errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, ZeroPolynomial
 from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, stab, trace_functional
 from functal.gallery import gallery_algebras
-from functal.linalg import RatMatrix
+from functal.linalg import PRIME, RatMatrix
 from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly
-from functal.sampling import SamplerConfig
+from functal.sampling import SamplerConfig, sample_functionals
 from functal.spectrum import (
     char_poly,
     char_poly_raw,
@@ -31,6 +32,9 @@ from functal.spectrum import (
     regularity_corollary_suite,
     spectrum,
 )
+
+# the module, which the package's `spectrum` function shadows
+spectrum_module = importlib.import_module("functal.spectrum")
 
 NONDIAG_B = [[0, 0, 2, 0], [0, 0, 1, 2], [1, 0, 0, 0], [0, 1, 0, 0]]
 
@@ -459,6 +463,32 @@ def test_find_regular_values():
     for alg in (ut(2), mat(2), seaweed([2, 1], [1, 2])):
         _, d1 = find_regular(alg, Q(1), cfg)
         assert d1 >= 1  # unity always stabilizes
+
+
+@pytest.mark.parametrize(
+    "alg, first",
+    [
+        # stab(1) of dim 5 and nil of dim 4, between the generic 3 and 0 and n = 9
+        (mat(3), lambda alg: trace_functional(alg, RatMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 0]]))),
+        (nilpotent_pair([[1, 2, 0], [0, 1, 3], [5, 0, 1]]), None),  # Type2
+        (nilpotent_pair([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), None),  # Type3
+    ],
+)
+def test_samples_misjudged_mod_p_fall_back_to_the_exact_dimensions(monkeypatch, alg, first):
+    # coordinates that are multiples of PRIME make every pencil vanish mod
+    # PRIME, so every screened dimension reads n and the exact ones decide;
+    # scaling F changes no kernel and no chi, so the verdicts are those of
+    # the unscaled samples
+    cfg = SamplerConfig(seed=2, samples=4)
+    plain = ([first(alg)] if first else []) + sample_functionals(alg, cfg)
+    monkeypatch.setattr(spectrum_module, "sample_functionals", lambda *_: plain)
+    want_index, want_type = index(alg, cfg), classify(alg, cfg)
+    monkeypatch.setattr(spectrum_module, "sample_functionals", lambda *_: [f.scale(PRIME) for f in plain])
+    got_index, got_type = index(alg, cfg), classify(alg, cfg)
+    assert got_index.value == want_index.value == min(stab(f, Alpha(1)).dim for f in plain)
+    assert got_index.witness == want_index.witness.scale(PRIME)
+    assert (got_type.verdict, got_type.min_nil_dim) == (want_type.verdict, want_type.min_nil_dim)
+    assert got_type.witnesses == tuple(w.scale(PRIME) for w in want_type.witnesses)
 
 
 def test_regularity_corollaries_pass_on_desk_pairs():
