@@ -202,9 +202,14 @@ class Subspace:
         n = self.algebra.dim
         reduced, pivots = rref([u + u for u in self.basis] + [w + (Fraction(0),) * n for w in other.basis])
         # those right halves are already a reduced echelon basis, with pivots p - n
-        out = object.__new__(Subspace)
-        out.algebra, out.pivots = self.algebra, tuple(p - n for p in pivots if p >= n)
-        out.basis = tuple(row[n:] for row, p in zip(reduced, pivots) if p >= n)
+        right = [(row[n:], p - n) for row, p in zip(reduced, pivots) if p >= n]
+        return Subspace._reduced(self.algebra, tuple(v for v, _ in right), tuple(p for _, p in right))
+
+    @classmethod
+    def _reduced(cls, algebra: Algebra, basis: tuple[Vector, ...], pivots: tuple[int, ...]) -> "Subspace":
+        """The subspace with this reduced-echelon basis and its pivots, taken as given."""
+        out = object.__new__(cls)
+        out.algebra, out.basis, out.pivots = algebra, basis, pivots
         return out
 
     def _check(self, other: "Subspace"):
@@ -266,8 +271,11 @@ def pencil_at(m: RatMatrix, alpha) -> tuple[tuple[int, ...], ...]:
 
 
 def stab(f: Functional, alpha) -> Subspace:
-    """Stabilizer at alpha; see the module docstring for the convention."""
-    return Subspace(f.algebra, kernel(pencil_at(gram(f), alpha)))
+    """Stabilizer at alpha; see the module docstring for the convention.  Reversing
+    each vector, and the list, of the kernel basis of the column-reversed pencil
+    gives the reduced-echelon basis, so one elimination suffices."""
+    basis = tuple(v[::-1] for v in reversed(kernel([row[::-1] for row in pencil_at(gram(f), alpha)])))
+    return Subspace._reduced(f.algebra, basis, tuple(v.index(1) for v in basis))
 
 
 def nil(f: Functional) -> Subspace:

@@ -1,17 +1,20 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are immutable row-major tuples of Fraction entries.  Every
-elimination is one fraction-free loop, `_eliminate` (single-step Bareiss,
-Math. Comp. 22, 1968), over the integers or over polynomials.  `det` scales
-the rows to integers and returns the signed last pivot over the scale.
-`rref` scales the rows, eliminates and back-substitutes over the integers;
-with d the last pivot, d times each reduced row is an integer row, so the
-only fractions are the final entries x/d (Nakos, Turner, Williams, SIGSAM
-Bull. 31, 1997).  `det`, `kernel` and `rank` take a `RatMatrix` or integer
-rows, which go into the elimination as they are.  Kernel bases follow sympy's
-`nullspace`, so a given row space always produces the same basis bit for bit.
-Outside that loop, `rank_mod_p` is a word-size rank over GF(PRIME), never
-above the rank over Q (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).
+Matrices are immutable row-major tuples of Fraction entries.  All matrix
+arithmetic runs on the integer form (d, integer rows), one denominator per
+matrix instead of a gcd per entry operation (Knuth, TAOCP 2, 4.5.1), and
+builds one Fraction per distinct value of the result.  Every elimination is
+one fraction-free loop, `_eliminate` (single-step Bareiss, Math. Comp. 22,
+1968), over the integers or over polynomials.  `det` scales the rows to
+integers and returns the signed last pivot over the scale.  `rref` scales the
+rows, eliminates and back-substitutes over the integers; with d the last
+pivot, d times each reduced row is an integer row, so the only fractions are
+the final entries x/d (Nakos, Turner, Williams, SIGSAM Bull. 31, 1997).
+`det`, `kernel` and `rank` take a `RatMatrix` or integer rows, which go into
+the elimination as they are.  Kernel bases follow sympy's `nullspace`, so a
+given row space always produces the same basis bit for bit.  Outside that
+loop, `rank_mod_p` is a word-size rank over GF(PRIME), never above the rank
+over Q (Dumas, Giorgi, Pernet, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ def vec_add(a: Vector, b: Vector) -> Vector:
     return tuple(x + y for x, y in zip(a, b, strict=True))
 
 
-def vec_sub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b, strict=True))
-
-
 def vec_scale(c: Fraction, a: Vector) -> Vector:
     return tuple(c * x for x in a)
 
@@ -57,7 +56,8 @@ def vec_is_zero(a: Vector) -> bool:
 
 
 class RatMatrix:
-    """Immutable dense matrix over Fraction."""
+    """Immutable dense matrix over Fraction; all arithmetic runs on the integer form
+    (d, rows), e.g. A @ B is (dA * dB, the integer product), and equality compares it."""
 
     __slots__ = ("rows", "cols", "data", "_integer_form")
 
@@ -104,11 +104,8 @@ class RatMatrix:
     def row(self, i: int) -> Vector:
         return self.data[i]
 
-    def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.data)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.data == other.data
+        return isinstance(other, RatMatrix) and self.integer_form() == other.integer_form()
 
     def __hash__(self):
         return hash(self.data)
@@ -124,37 +121,45 @@ class RatMatrix:
         return all(vec_is_zero(row) for row in self.data)
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix([self.col(j) for j in range(self.cols)])
+        d, ints = self.integer_form()
+        return RatMatrix.from_integer_form(d, tuple(zip(*ints)))
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix([vec_add(a, b) for a, b in zip(self.data, other.data, strict=True)])
+        (da, a), (db, b) = self.integer_form(), other.integer_form()
+        d = lcm(da, db)
+        ea, eb = d // da, d // db
+        return RatMatrix.from_integer_form(
+            d, tuple(tuple(ea * x + eb * y for x, y in zip(u, w, strict=True)) for u, w in zip(a, b, strict=True))
+        )
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return RatMatrix([vec_sub(a, b) for a, b in zip(self.data, other.data, strict=True)])
+        return self + other.scale(-1)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)
-        return RatMatrix([[c * x for x in row] for row in self.data])
+        d, ints = self.integer_form()
+        return RatMatrix.from_integer_form(d * c.denominator, tuple(tuple(c.numerator * x for x in row) for row in ints))
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        cols = [other.col(j) for j in range(other.cols)]
-        return RatMatrix([[vec_dot(row, c) for c in cols] for row in self.data])
+        (da, a), (db, b) = self.integer_form(), other.integer_form()
+        cols = tuple(zip(*b))
+        return RatMatrix.from_integer_form(da * db, tuple(tuple(sum(map(operator.mul, u, c)) for c in cols) for u in a))
 
     def apply(self, v: Vector) -> Vector:
         if self.cols != len(v):
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(vec_dot(row, v) for row in self.data)
+        d, ints = self.integer_form()
+        dv = lcm(*(x.denominator for x in v))
+        iv = [x.numerator * (dv // x.denominator) for x in v]
+        return tuple(Fraction(sum(map(operator.mul, u, iv)), d * dv) for u in ints)
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     """Block matrix with block (i,j) equal to a[i,j] * b."""
-    out = []
-    for i in range(a.rows):
-        for p in range(b.rows):
-            out.append([a[i, j] * b[p, q] for j in range(a.cols) for q in range(b.cols)])
-    return RatMatrix(out)
+    (da, x), (db, y) = a.integer_form(), b.integer_form()
+    return RatMatrix.from_integer_form(da * db, tuple(tuple(s * t for s in u for t in w) for u in x for w in y))
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
@@ -295,8 +300,8 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if not m.is_square():
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = [list(m.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    reduced, pivots = rref([tuple(r) for r in aug])
+    d, ints = m.integer_form()
+    reduced, pivots = rref([row + tuple(d if j == i else 0 for j in range(n)) for i, row in enumerate(ints)])
     if list(pivots[:n]) != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return RatMatrix([row[n:] for row in reduced[:n]])

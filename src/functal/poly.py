@@ -667,8 +667,8 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     n = p.rows
     if n == 0:
         return BivariatePoly({(0, 0): Fraction(1)})
-    d = math.lcm(*(x.denominator for m in (p, q) for row in m.data for x in row))
-    ip, iq = ([[x.numerator * (d // x.denominator) for x in row] for row in m.data] for m in (p, q))
+    d = math.lcm(p.integer_form()[0], q.integer_form()[0])
+    ip, iq = ([[x * (d // e) for x in row] for row in rows] for e, rows in (p.integer_form(), q.integer_form()))
     reciprocal = iq == [list(col) for col in zip(*ip)]
     h = n // 2 if reciprocal else n
     r = [linalg.det([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)]).numerator for t in range(h + 1)]

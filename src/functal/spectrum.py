@@ -17,6 +17,7 @@ at infinity) and B = M^T - alpha0*M regular, V_1 = ker P and V_{k+1} =
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -441,8 +442,9 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
     must satisfy x y = alpha y x for x in stab(alpha), y in stab(1/alpha).
     """
     checks: list[CheckResult] = []
+    st = functools.cache(stab)  # one stabilizer per (witness, alpha)
     f1, _ = find_regular(alg, Alpha(1), sampler)
-    s1 = stab(f1, Alpha(1))
+    s1 = st(f1, Alpha(1))
     commutative = True
     detail = ""
     for i, x in enumerate(s1.basis):
@@ -456,7 +458,7 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
     checks.append(CheckResult("stab(1) commutative at 1-regular witness", commutative, detail))
 
     f0, _ = find_regular(alg, Alpha(0), sampler)
-    prod = subspace_product(stab(f0, Alpha(0)), stab(f0, ALPHA_INF))
+    prod = subspace_product(st(f0, Alpha(0)), st(f0, ALPHA_INF))
     checks.append(
         CheckResult(
             "stab(0)*stab(inf) = 0 at 0-regular witness",
@@ -464,7 +466,7 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
             "" if prod.is_zero() else f"nonzero product space of dim {prod.dim}",
         )
     )
-    nil0 = nil(f0)
+    nil0 = st(f0, Alpha(0)).intersect(st(f0, ALPHA_INF))
     nil_trivial = all(
         all(x == 0 for x in alg.product_coords(u, v)) for u in nil0.basis for v in nil0.basis
     )
@@ -477,8 +479,8 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
     )
     for a in applicable:
         fa, _ = find_regular(alg, a, sampler)
-        sa = stab(fa, a)
-        sb = stab(fa, a.inverse())
+        sa = st(fa, a)
+        sb = st(fa, a.inverse())
         ok = True
         detail = ""
         for x in sa.basis:

@@ -50,11 +50,11 @@ def kronecker_swap_matrix(k: int, m: int) -> RatMatrix:
     if k < 1 or m < 1:
         raise ValueError("factor sizes must be positive")
     n = k * m
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(k):
         for j in range(m):
-            rows[j * k + i][i * m + j] = Fraction(1)
-    return RatMatrix(rows)
+            rows[j * k + i][i * m + j] = 1
+    return RatMatrix.from_integer_form(1, tuple(map(tuple, rows)))
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,9 @@ def _float_matrix(m: RatMatrix) -> np.ndarray:
 
 
 def _balance(m: RatMatrix) -> RatMatrix:
-    scale = max((abs(x) for row in m.data for x in row), default=Fraction(1))
-    if scale == 0:
-        return m
-    return m.scale(Fraction(1) / scale)
+    d, ints = m.integer_form()
+    top = max((abs(x) for row in ints for x in row), default=0)
+    return m.scale(Fraction(d, top)) if top else m
 
 
 def extended_cayley_check(

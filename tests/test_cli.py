@@ -30,6 +30,11 @@ DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "cli_output_sha256.js
 # and seaweed:2,2,1;1,3,1 at seeds 0-9, recorded before the mod-p screen of
 # the sampled dimensions, which keeps them
 SAMPLING_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "sampling_index_classify_sha256.json").read_text())
+# `verify cayley` at seeds 1-9, `verify tensor-chi` at seed 1 and three more
+# `tensor` pairs, recorded before the matrix products, Kronecker products,
+# transposes and scalings moved to the integer form, which keeps them; the
+# float `max_relative_error` also pins the balanced inputs bit for bit
+IDENTITY_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "identities_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -233,6 +238,13 @@ def test_sampled_index_and_type_are_byte_identical(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and err == ""
     assert sha256(out) == SAMPLING_DIGESTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(IDENTITY_DIGESTS))
+def test_identity_checks_are_byte_identical(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert code == 0 and err == ""
+    assert sha256(out) == IDENTITY_DIGESTS[command]
 
 
 @pytest.mark.parametrize("name, b", [("INVERTIBLE_B", INVERTIBLE_B), ("JORDAN_BLOCK_B", JORDAN_BLOCK_B)])

@@ -27,8 +27,9 @@ from functal.functional import (
     trace_functional,
     vanishes_on,
 )
-from functal.linalg import RatMatrix
-from functal.spectrum import char_poly
+from functal.gallery import gallery_algebras
+from functal.linalg import RatMatrix, kernel
+from functal.spectrum import char_poly, spectrum
 
 
 def rand_functional(alg, rng, lo=-20, hi=20):
@@ -210,6 +211,20 @@ def test_stab_finite_condition_elementwise():
             for i in range(alg.dim):
                 e = alg.basis_vector(i)
                 assert f(alg.product_coords(v, e)) == alpha * f(alg.product_coords(e, v))
+
+
+def test_stab_is_the_reduced_basis_of_the_pencil_kernel():
+    # stab reduces the column-reversed pencil once; the second elimination in
+    # Subspace(...) must find nothing to change
+    rng = random.Random(6)
+    alphas = [Alpha(0), Alpha(1), Alpha(-1), Alpha(2), Alpha(Q(1, 2)), Alpha(Q(-3, 5)), ALPHA_INF]
+    for alg in gallery_algebras().values():
+        draws = [Functional.zero(alg), rand_functional(alg, rng), rand_functional(alg, rng, 0, 1)]
+        for f in draws + [Functional(alg, tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim)))]:
+            for a in alphas + spectrum(f).exact_alphas():
+                s = stab(f, a)
+                want = Subspace(alg, kernel(pencil_at(gram(f), a)))
+                assert (s.basis, s.pivots) == (want.basis, want.pivots), (f, a)
 
 
 # ---------------------------------------------------------------------------

@@ -298,3 +298,78 @@ def test_rref_depends_only_on_the_row_space():
         assert rref(out) == rref(rows)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# matrix arithmetic over the integer form, against its entrywise definition
+
+
+def _assert_matrix(m, rows):
+    """m is the RatMatrix with these Fraction rows, and its integer form is canonical."""
+    assert type(m) is RatMatrix
+    assert (m.rows, m.cols) == (len(rows), len(rows[0]) if rows else 0)
+    assert all(type(x) is Q for row in m.data for x in row)
+    assert m.data == tuple(tuple(row) for row in rows)
+    d, ints = m.integer_form()
+    assert d > 0 and ints == tuple(tuple(x * d for x in row) for row in rows)
+    assert m.integer_form() == RatMatrix(rows).integer_form()
+
+
+def _ref_product(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Q(0)) for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_matrix_arithmetic_matches_the_entrywise_definition():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    # small, negative and zero entries, and numerators and denominators past the word
+    entries = st.one_of(
+        st.just(Q(0)),
+        st.builds(Q, st.integers(-9, 9), st.integers(1, 4)),
+        st.builds(Q, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
+    )
+
+    def matrices(r, c):
+        zero = st.just([[Q(0)] * c for _ in range(r)])
+        return st.one_of(zero, st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+
+    dims = st.integers(1, 4)
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(shape=st.tuples(dims, dims, dims, dims), data=st.data())
+    def check(shape, data):
+        r, k, c, s = shape
+        a = data.draw(matrices(r, k))
+        a2 = data.draw(matrices(r, k))
+        b = data.draw(matrices(k, c))
+        e = data.draw(matrices(c, s))
+        v = data.draw(st.lists(entries, min_size=k, max_size=k))
+        x = data.draw(entries)
+        ma, ma2, mb, me = RatMatrix(a), RatMatrix(a2), RatMatrix(b), RatMatrix(e)
+
+        _assert_matrix(ma @ mb, _ref_product(a, b))
+        _assert_matrix(ma @ mb @ me, _ref_product(_ref_product(a, b), e))
+        _assert_matrix(kron(ma, mb), [[y * z for y in ra for z in rb] for ra in a for rb in b])
+        _assert_matrix(kron(mb, ma), [[y * z for y in rb for z in ra] for rb in b for ra in a])
+        _assert_matrix(ma.transpose(), [list(col) for col in zip(*a)])
+        _assert_matrix(ma.scale(x), [[x * y for y in row] for row in a])
+        _assert_matrix(ma + ma2, [[y + z for y, z in zip(u, w)] for u, w in zip(a, a2)])
+        _assert_matrix(ma - ma2, [[y - z for y, z in zip(u, w)] for u, w in zip(a, a2)])
+        out = ma.apply(tuple(v))
+        assert type(out) is tuple and all(type(y) is Q for y in out)
+        assert out == tuple(sum((y * z for y, z in zip(row, v)), Q(0)) for row in a)
+        assert (ma == ma2) == (a == a2) and ma == RatMatrix(a) and ma.scale(1) == ma
+        assert (ma == RatMatrix(a).scale(2)) == (ma.is_zero())
+        if r == k and det(ma) != 0:
+            inv = inverse(ma)
+            _assert_matrix(inv, [list(row) for row in inv.data])
+            eye = [[Q(int(i == j)) for j in range(r)] for i in range(r)]
+            assert _ref_product(a, [list(row) for row in inv.data]) == eye
+            assert _ref_product([list(row) for row in inv.data], a) == eye
+
+    check()
+    # degenerate shapes: a 1 x 1 matrix and products through a zero matrix
+    one = RatMatrix([[Q(-3, 2**90)]])
+    _assert_matrix(one @ one, [[Q(9, 2**180)]])
+    _assert_matrix(inverse(one), [[Q(-(2**90), 3)]])
+    _assert_matrix(RatMatrix.zero(2, 3).transpose() @ RatMatrix([[Q(1, 7), 2], [0, -1]]), [[Q(0)] * 2 for _ in range(3)])
