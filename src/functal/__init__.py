@@ -21,14 +21,10 @@ from .functional import (
     Alpha,
     Functional,
     Subspace,
-    b_form,
-    conjugate_functional,
     gram,
     is_multiplicative,
-    is_nondegenerate,
     nil,
     pencil_at,
-    q_form,
     rank_gram,
     restrict_form,
     stab,
@@ -41,7 +37,6 @@ from .poly import (
     BivariatePoly,
     MultivariatePoly,
     UnivariatePoly,
-    generalized_resultant,
     pencil_det,
     uni_roots,
 )
@@ -59,8 +54,6 @@ from .spectrum import (
     find_regular,
     index,
     jordan_spaces,
-    pencil_poly,
-    quotient_by_nil,
     regularity_corollary_suite,
     spectrum,
 )

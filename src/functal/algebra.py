@@ -111,9 +111,6 @@ class Algebra:
     def element(self, coords) -> "AlgebraElement":
         return AlgebraElement(self, vec(coords))
 
-    def basis_element(self, i: int) -> "AlgebraElement":
-        return AlgebraElement(self, self.basis_vector(i))
-
     def is_unital(self) -> bool:
         return self.unity is not None
 

@@ -26,7 +26,6 @@ from .errors import (
     EnvelopeExceeded,
     FunctalError,
     NoRegularAlpha0,
-    NotAnIdeal,
     NotMatrixAlgebra,
     NotType1,
     ZeroPolynomial,
@@ -48,7 +47,7 @@ from .spectrum import (
 from .suites import SUITES, run_suite
 from .tensor import conjecture_probe, tensor_char_check, tensor_stab_suite
 
-ANALYSIS_ERRORS = (NoRegularAlpha0, NotType1, NotAnIdeal, ZeroPolynomial)
+ANALYSIS_ERRORS = (NoRegularAlpha0, NotType1, ZeroPolynomial)
 INPUT_ERRORS = (AlgebraParseError, EnvelopeExceeded, NotMatrixAlgebra, OSError, json.JSONDecodeError, ValueError, KeyError)
 
 

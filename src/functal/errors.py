@@ -34,10 +34,6 @@ class NotType1(FunctalError):
     pass
 
 
-class NotAnIdeal(FunctalError):
-    pass
-
-
 class AlgebraParseError(FunctalError):
     pass
 

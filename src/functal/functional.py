@@ -21,8 +21,8 @@ from typing import Mapping, Sequence
 
 from . import algebra as alg_mod
 from .algebra import Algebra
-from .errors import AlgebraMismatch, NotMatrixAlgebra, SingularMatrix
-from .linalg import RatMatrix, Vector, det, inverse, kernel, rank, rref, vec, vec_dot, vec_is_zero
+from .errors import AlgebraMismatch, NotMatrixAlgebra
+from .linalg import RatMatrix, Vector, kernel, rank, rref, vec, vec_dot, vec_is_zero
 from .scalars import rat, rat_str
 
 
@@ -192,10 +192,6 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(vec_is_zero(self.residue(w)) for w in other.basis)
 
-    def sum_with(self, other: "Subspace") -> "Subspace":
-        self._check(other)
-        return Subspace(self.algebra, list(self.basis) + list(other.basis))
-
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: rows of rref((u | u), (w | 0)) with pivot >= n end in the intersection."""
         self._check(other)
@@ -245,18 +241,6 @@ def gram(f: Functional) -> RatMatrix:
         rows = tuple(tuple(sum(x[k] * c for k, c in cell) for cell in row) for row in table)
         object.__setattr__(f, "_gram", RatMatrix.from_integer_form(dx * dt, rows))
     return f._gram
-
-
-def b_form(f: Functional) -> RatMatrix:
-    """Skew part: entry (i,j) = F(e_i e_j - e_j e_i)."""
-    m = gram(f)
-    return m - m.transpose()
-
-
-def q_form(f: Functional) -> RatMatrix:
-    """Symmetric part: entry (i,j) = F(e_i e_j + e_j e_i)."""
-    m = gram(f)
-    return m + m.transpose()
 
 
 def pencil_at(m: RatMatrix, alpha) -> tuple[tuple[int, ...], ...]:
@@ -317,32 +301,3 @@ def restrict_form(m: RatMatrix, rows: Subspace, cols: Subspace) -> RatMatrix:
         [[vec_dot(u, m.apply(v)) for v in cols.basis] for u in rows.basis]
     )
 
-
-def is_nondegenerate(m: RatMatrix) -> bool:
-    """det != 0; the empty 0x0 form counts as nondegenerate."""
-    if not m.is_square():
-        raise ValueError("nondegeneracy of a non-square form")
-    return det(m) != 0
-
-
-def conjugate_functional(f: Functional, g: RatMatrix) -> Functional:
-    """Pullback F'(x) = F(g^-1 x g) on the full matrix algebra."""
-    n = _require_mat_n(f.algebra)
-    if g.rows != n or g.cols != n:
-        raise ValueError(f"expected a {n}x{n} matrix")
-    try:
-        g_inv = inverse(g)
-    except SingularMatrix:
-        raise SingularMatrix("conjugating matrix must be invertible") from None
-    coords = []
-    for i in range(n):
-        for j in range(n):
-            # g^-1 E_ij g has (r, s) entry g_inv[r, i] * g[j, s]
-            total = Fraction(0)
-            for r in range(n):
-                for s in range(n):
-                    entry = g_inv[r, i] * g[j, s]
-                    if entry != 0:
-                        total += entry * f.coords[r * n + s]
-            coords.append(total)
-    return Functional(f.algebra, tuple(coords))

@@ -20,9 +20,7 @@ made monic, goes to a float root finder.
 
 from __future__ import annotations
 
-import json
 import math
-import re
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -34,8 +32,6 @@ from .linalg import RatMatrix
 from .scalars import ComplexApprox, rat, rat_str
 
 PENCIL_VARS = ("lam", "mu")
-
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
 def _grlex_key(exp: tuple[int, ...]):
@@ -86,11 +82,6 @@ class MultivariatePoly:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def valuation_in(self, name: str) -> int:
-        """Smallest exponent of `name` over all terms; 0 for the zero polynomial."""
-        i = self.variables.index(name)
-        return min((e[i] for e in self.terms), default=0)
 
     def degree_in(self, name: str) -> int:
         i = self.variables.index(name)
@@ -205,47 +196,6 @@ class MultivariatePoly:
         _, c = self.leading()
         return make_poly(self.variables, {e: v / c for e, v in self.terms.items()})
 
-    def proportional_to(self, other: "MultivariatePoly") -> bool:
-        """Equality up to a nonzero scalar multiple (the canonical comparison)."""
-        if self.variables != other.variables:
-            return False
-        return self.canonical() == other.canonical()
-
-    # -- evaluation --------------------------------------------------------
-
-    def evaluate(self, assignment: Mapping[str, Fraction]) -> Fraction:
-        vals = [rat(assignment[v]) for v in self.variables]
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            term = c
-            for x, k in zip(vals, e):
-                if k:
-                    term *= x**k
-            total += term
-        return total
-
-    def restrict_to(self, keep: Sequence[str], assignment: Mapping[str, Fraction]) -> "MultivariatePoly":
-        """Substitute values for all variables except `keep` (order preserved)."""
-        keep = tuple(keep)
-        keep_idx = [self.variables.index(v) for v in keep]
-        other_idx = [i for i, v in enumerate(self.variables) if v not in keep]
-        vals = [rat(assignment[self.variables[i]]) for i in other_idx]
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e, c in self.terms.items():
-            scale = c
-            for x, i in zip(vals, other_idx):
-                if e[i]:
-                    scale *= x ** e[i]
-            if scale == 0:
-                continue
-            new_e = tuple(e[i] for i in keep_idx)
-            s = out.get(new_e, Fraction(0)) + scale
-            if s == 0:
-                out.pop(new_e, None)
-            else:
-                out[new_e] = s
-        return make_poly(keep, out)
-
     # -- serialization ---------------------------------------------------
 
     def to_text(self) -> str:
@@ -271,61 +221,11 @@ class MultivariatePoly:
             out += f" {sign} {body}"
         return out
 
-    @classmethod
-    def from_text(cls, variables: Sequence[str], text: str) -> "MultivariatePoly":
-        variables = tuple(variables)
-        text = text.strip()
-        if text == "0":
-            return make_poly(variables, {})
-        chunks = re.split(r"\s+([+-])\s+", text)
-        signed: list[tuple[int, str]] = []
-        head = chunks[0]
-        if head.startswith("-"):
-            signed.append((-1, head[1:]))
-        else:
-            signed.append((1, head))
-        for i in range(1, len(chunks), 2):
-            signed.append((-1 if chunks[i] == "-" else 1, chunks[i + 1]))
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for sign, body in signed:
-            coef = Fraction(sign)
-            exp = [0] * len(variables)
-            for factor in body.split("*"):
-                factor = factor.strip()
-                if _RATIONAL_RE.match(factor):
-                    coef *= Fraction(factor)
-                    continue
-                if "^" in factor:
-                    name, power = factor.rsplit("^", 1)
-                    k = int(power)
-                else:
-                    name, k = factor, 1
-                exp[variables.index(name)] += k
-            e = tuple(exp)
-            terms[e] = terms.get(e, Fraction(0)) + coef
-        return make_poly(variables, terms)
-
     def to_json_dict(self) -> dict:
         return {
             "variables": list(self.variables),
             "terms": {",".join(str(k) for k in e): rat_str(c) for e, c in self.terms.items()},
         }
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "MultivariatePoly":
-        variables = tuple(d["variables"])
-        terms = {
-            tuple(int(k) for k in key.split(",")) if key else (): Fraction(val)
-            for key, val in d["terms"].items()
-        }
-        return make_poly(variables, terms)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, s: str) -> "MultivariatePoly":
-        return cls.from_json_dict(json.loads(s))
 
     def __repr__(self):
         return f"{type(self).__name__}({self.to_text()!r})"
@@ -338,12 +238,6 @@ class BivariatePoly(MultivariatePoly):
         if tuple(variables) != PENCIL_VARS:
             raise ValueError("BivariatePoly is fixed to variables (lam, mu)")
         super().__init__(PENCIL_VARS, terms)
-
-    def lam_valuation(self) -> int:
-        return self.valuation_in("lam")
-
-    def mu_valuation(self) -> int:
-        return self.valuation_in("mu")
 
     def dehomogenize(self) -> "UnivariatePoly":
         """p(x) = chi(x, -1): the pencil polynomial in one variable."""
@@ -456,19 +350,6 @@ class UnivariatePoly:
         if any(c != 0 for c in self.coeffs[:k]):
             raise ValueError("not divisible by x^k")
         return UnivariatePoly(self.coeffs[k:])
-
-    def companion(self) -> RatMatrix:
-        """Companion matrix of the monic normalization."""
-        p = self.monic()
-        n = p.degree
-        if n < 1:
-            raise ValueError("companion matrix needs degree >= 1")
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(1, n):
-            rows[i][i - 1] = Fraction(1)
-        for i in range(n):
-            rows[i][n - 1] = -p.coeffs[i]
-        return RatMatrix(rows)
 
     def __repr__(self):
         return f"UnivariatePoly({[str(c) for c in self.coeffs]})"
@@ -688,22 +569,3 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     dn = d**n
     return BivariatePoly({(k, n - k): Fraction(c, dn) for k, c in enumerate(coeffs) if c})
 
-
-def generalized_resultant(p: UnivariatePoly, q: UnivariatePoly) -> BivariatePoly:
-    """prod over root pairs (a_i of p, b_j of q) of (lam*a_i + mu*b_j), scaled.
-
-    Computed without root extraction as
-    lc(p)^deg(q) * lc(q)^deg(p) * det(lam*(C_p (x) I) + mu*(I (x) C_q)),
-    which is exact and independent of any root ordering.
-    """
-    if p.is_zero() or q.is_zero():
-        raise ZeroPolynomial("generalized resultant needs nonzero polynomials")
-    dp, dq = p.degree, q.degree
-    scale = p.leading() ** dq * q.leading() ** dp
-    if dp == 0 or dq == 0:
-        return BivariatePoly({(0, 0): scale})
-    cp = p.companion()
-    cq = q.companion()
-    big_p = linalg.kron(cp, RatMatrix.identity(dq))
-    big_q = linalg.kron(RatMatrix.identity(dp), cq)
-    return pencil_det(big_p, big_q) * scale

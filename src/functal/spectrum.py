@@ -17,7 +17,6 @@ at infinity) and B = M^T - alpha0*M regular, V_1 = ker P and V_{k+1} =
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -25,8 +24,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .algebra import Algebra, dense, sparse
-from .errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, ZeroPolynomial
+from .algebra import Algebra
+from .errors import EnvelopeExceeded, NoRegularAlpha0
 from .functional import (
     ALPHA_INF,
     Alpha,
@@ -43,7 +42,6 @@ from .linalg import RatMatrix, Vector, det, ff_det, kernel, rank_mod_p
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
-    UnivariatePoly,
     make_poly,
     pencil_det,
     uni_roots,
@@ -120,14 +118,6 @@ def char_poly_symbolic(alg: Algebra, v: Subspace | None = None) -> MultivariateP
     if size == 0:
         return MultivariatePoly.constant(variables, 1)
     return ff_det(pencil)
-
-
-def pencil_poly(f: Functional, v: Subspace | None = None) -> UnivariatePoly:
-    """p(x) = chi(x, -1); raises ZeroPolynomial when chi vanishes identically."""
-    chi = char_poly_raw(f, v)
-    if chi.is_zero():
-        raise ZeroPolynomial("characteristic polynomial vanishes identically")
-    return chi.dehomogenize()
 
 
 # ---------------------------------------------------------------------------
@@ -371,33 +361,36 @@ class IndexReport:
     seed: int
 
 
-def _stab_dim_at(args) -> int:
+def _stab_at(args) -> Subspace:
     f, alpha = args
-    return stab(f, alpha).dim
+    return stab(f, alpha)
 
 
-def find_regular(alg: Algebra, alpha, sampler: SamplerConfig = SamplerConfig()) -> tuple[Functional, int]:
-    """Sampled functional achieving the minimal observed dim stab(alpha).
+def find_regular(alg: Algebra, alpha, sampler: SamplerConfig = SamplerConfig()) -> tuple[Functional, Subspace]:
+    """Sampled functional achieving the minimal observed dim stab(alpha), and its stab(alpha).
 
     Each sample is screened by n - rank over GF(PRIME) of its pencil, at least
-    dim stab(alpha).  The dimension returned is exact at the witness; if it
-    differs from the screen, the exact dims of all samples decide.  A sample is
-    misjudged as non-minimal only if PRIME divides every maximal minor of its pencil.
+    dim stab(alpha).  The stabilizer returned is exact at the witness; if its
+    dimension differs from the screen, the exact stabilizers of all samples
+    decide.  A sample is misjudged as non-minimal only if PRIME divides every
+    maximal minor of its pencil.
     """
     alpha = Alpha.of(alpha)
     fs = sample_functionals(alg, sampler)
     dims = [alg.dim - rank_mod_p(pencil_at(gram(f), alpha)) for f in fs]
     best = dims.index(min(dims))
-    if stab(fs[best], alpha).dim != dims[best]:
-        dims = pmap(_stab_dim_at, [(f, alpha) for f in fs], sampler.workers)
-        best = dims.index(min(dims))
-    return fs[best], dims[best]
+    space = stab(fs[best], alpha)
+    if space.dim != dims[best]:
+        spaces = pmap(_stab_at, [(f, alpha) for f in fs], sampler.workers)
+        best = min(range(len(fs)), key=lambda i: spaces[i].dim)
+        space = spaces[best]
+    return fs[best], space
 
 
 def index(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> IndexReport:
     """Minimal sampled dim stab(1), exact at its witness (see `find_regular`)."""
-    witness, dim = find_regular(alg, Alpha(1), sampler)
-    return IndexReport(dim, witness, sampler.samples, sampler.seed)
+    witness, space = find_regular(alg, Alpha(1), sampler)
+    return IndexReport(space.dim, witness, sampler.samples, sampler.seed)
 
 
 def constant_spectrum_alphas(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> set[Alpha]:
@@ -442,9 +435,7 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
     must satisfy x y = alpha y x for x in stab(alpha), y in stab(1/alpha).
     """
     checks: list[CheckResult] = []
-    st = functools.cache(stab)  # one stabilizer per (witness, alpha)
-    f1, _ = find_regular(alg, Alpha(1), sampler)
-    s1 = st(f1, Alpha(1))
+    _, s1 = find_regular(alg, Alpha(1), sampler)
     commutative = True
     detail = ""
     for i, x in enumerate(s1.basis):
@@ -457,8 +448,9 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
             break
     checks.append(CheckResult("stab(1) commutative at 1-regular witness", commutative, detail))
 
-    f0, _ = find_regular(alg, Alpha(0), sampler)
-    prod = subspace_product(st(f0, Alpha(0)), st(f0, ALPHA_INF))
+    f0, s0 = find_regular(alg, Alpha(0), sampler)
+    s_inf = stab(f0, ALPHA_INF)
+    prod = subspace_product(s0, s_inf)
     checks.append(
         CheckResult(
             "stab(0)*stab(inf) = 0 at 0-regular witness",
@@ -466,7 +458,7 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
             "" if prod.is_zero() else f"nonzero product space of dim {prod.dim}",
         )
     )
-    nil0 = st(f0, Alpha(0)).intersect(st(f0, ALPHA_INF))
+    nil0 = s0.intersect(s_inf)
     nil_trivial = all(
         all(x == 0 for x in alg.product_coords(u, v)) for u in nil0.basis for v in nil0.basis
     )
@@ -478,9 +470,8 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
         key=lambda a: a.value,
     )
     for a in applicable:
-        fa, _ = find_regular(alg, a, sampler)
-        sa = st(fa, a)
-        sb = st(fa, a.inverse())
+        fa, sa = find_regular(alg, a, sampler)
+        sb = stab(fa, a.inverse())
         ok = True
         detail = ""
         for x in sa.basis:
@@ -498,39 +489,3 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
         tuple(checks), sampler.seed, tuple(str(a) for a in applicable)
     )
 
-
-# ---------------------------------------------------------------------------
-# quotient helper
-# ---------------------------------------------------------------------------
-
-
-def quotient_by_nil(alg: Algebra, f: Functional) -> tuple[Algebra, Functional]:
-    """Quotient algebra by the nil space of F with the functional pushed forward.
-
-    Requires the nil space to be a two-sided ideal (NotAnIdeal otherwise).
-    The quotient is realized on the standard coordinates complementary to the
-    nil pivots, and the pushed functional is F composed with that section;
-    its values on nil directions are discarded.
-    """
-    n_space = nil(f)
-    if n_space.is_zero():
-        return alg, f
-    for v in n_space.basis:
-        for i in range(alg.dim):
-            e = alg.basis_vector(i)
-            if not n_space.contains(alg.product_coords(v, e)) or not n_space.contains(
-                alg.product_coords(e, v)
-            ):
-                raise NotAnIdeal("nil space is not a two-sided ideal; cannot form the quotient")
-    keep = [i for i in range(alg.dim) if i not in n_space.pivots]
-
-    def project(vec_x: Vector) -> Vector:
-        x = n_space.residue(vec_x)
-        return tuple(x[i] for i in keep)
-
-    labels = [alg.labels[i] for i in keep]
-    table = [[sparse(project(dense(alg.table[i][j], alg.dim))) for j in keep] for i in keep]
-    unity = project(alg.unity) if alg.unity is not None else None
-    q_alg = Algebra(labels, table, unity)
-    q_f = Functional(q_alg, tuple(f.coords[i] for i in keep))
-    return q_alg, q_f

@@ -276,7 +276,7 @@ def cayley_suite(seed: int = 0, instances: int = 30, tol: float = 1e-6) -> Suite
 
 
 def tensor_chi_suite(seed: int = 0) -> SuiteReport:
-    """Exact agreement of the two chi routes on the desk pairs of dimension <= 36."""
+    """gram(F (x) G) = gram(F) kron gram(G), and `tensor_char_check`, on the desk pairs of dimension <= 36."""
     checks: list[CheckResult] = []
     rng = random.Random(seed)
     algs = gallery_algebras()

@@ -5,9 +5,9 @@ Exact facts exercised here:
 * det(A (x) B) = det(A)^m det(B)^n for n x n A and m x m B;
 * the perfect-shuffle permutation U with U (A (x) B) U^-1 = B (x) A;
 * the pairing matrix of a product functional F (x) G is the Kronecker
-  product of the factors' pairing matrices, so the characteristic
-  polynomial of a tensor pair is an ordinary pencil determinant of
-  Kronecker blocks;
+  product of the factors' pairing matrices, checked entry for entry, so the
+  characteristic polynomial of a tensor pair is the pencil determinant of
+  Kronecker blocks and needs no second computation;
 * det(lam A (x) C + mu B (x) D) equals det of the matrix-substituted
   pencil polynomial of (A, B) evaluated at (lam C, mu D), checked
   numerically because the substitution needs the pencil's linear factors:
@@ -92,8 +92,8 @@ def extended_cayley_check(
 
     The left side is an exact bivariate determinant.  The right side uses
     the linear-factor form chi(lam, mu) = det(lam A + mu B)
-    = lead * mu^(n-k) * prod (lam - t_i mu), with float roots t_i from a
-    companion matrix: at mu = 1 and lam = z it is
+    = lead * mu^(n-k) * prod (lam - t_i mu), with float roots t_i from
+    np.roots: at mu = 1 and lam = z it is
     det(lead * D^(n-k) * prod (z C - t_i D)), the factors multiplied in
     ascending root order.  Its coefficients are recovered from nm + 1 such
     values on the unit circle by an FFT and compared with the left side's
@@ -198,28 +198,28 @@ def tensor_functional(tensor_alg: Algebra, f: Functional, g: Functional) -> Func
 def tensor_char_check(
     alg_a: Algebra, f: Functional, alg_b: Algebra, g: Functional, tolerance: float = 1e-6
 ) -> IdentityReport:
-    """Characteristic polynomial of a tensor pair, three ways.
+    """Characteristic polynomial of a tensor pair, two ways.
 
-    Exact path 1: chi of (A (x) B, F (x) G) from the tensor algebra itself.
-    Exact path 2: pencil determinant of the Kronecker products of the
-    factors' pairing matrices.  The two must agree bit for bit.  When both
-    factor pencils are nonzero a numeric factored-substitution check (as in
-    the extended Cayley identity) is run as well.
+    Exact: the pairing matrix of (A (x) B, F (x) G), from the tensor algebra
+    itself, must equal the Kronecker product of the factors' pairing
+    matrices, so the two characteristic polynomials agree.  When the factor
+    pencil of F is nonzero, a numeric factored-substitution check (as in the
+    extended Cayley identity) is run on the factors as well.
     """
     ta = tensor_product(alg_a, alg_b)
     fg = tensor_functional(ta, f, g)
     mf = gram(f)
     mg = gram(g)
-    m_fg = gram(fg)
-    chi_tensor = pencil_det(m_fg, m_fg.transpose())
-    chi_kron = pencil_det(linalg.kron(mf, mg), linalg.kron(mf.transpose(), mg.transpose()))
-    exact_ok = chi_tensor.canonical() == chi_kron.canonical()
+    exact_ok = gram(fg) == linalg.kron(mf, mg)
     numeric_err = 0.0
     numeric_ok = True
-    if exact_ok and not pencil_det(mf, mf.transpose()).is_zero():
-        rep = extended_cayley_check(mf, mf.transpose(), mg, mg.transpose(), tolerance)
-        numeric_err = rep.max_relative_error
-        numeric_ok = rep.pass_
+    if exact_ok:
+        try:
+            rep = extended_cayley_check(mf, mf.transpose(), mg, mg.transpose(), tolerance)
+            numeric_err = rep.max_relative_error
+            numeric_ok = rep.pass_
+        except DegeneratePencil:
+            pass
     ok = exact_ok and numeric_ok
     return IdentityReport(
         "tensor-characteristic",
@@ -447,9 +447,9 @@ def conjecture_probe(
         inv = a.inverse()
         if inv not in const_b:
             continue
-        fa, da = find_regular(alg_a, a, sampler)
-        gb, db = find_regular(alg_b, inv, sampler)
-        resonance += da * db
+        _, sa = find_regular(alg_a, a, sampler)
+        _, sb = find_regular(alg_b, inv, sampler)
+        resonance += sa.dim * sb.dim
         resonant.append(str(a))
     hypothesis = (
         f"corrected reading: ind(A(x)B) = ind(A)*ind(B) + resonance "

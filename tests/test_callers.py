@@ -1,0 +1,46 @@
+"""No helper without a caller: every def and class in src/functal is named
+somewhere in src/functal or perfbench/*.py besides its own definition and
+the package's __init__.py, which only re-exports."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "functal"
+
+# names kept on purpose with no caller yet
+ALLOWED = {
+    "mat_tensor_index_experiment",  # ROADMAP item 2: the seed of the mat-tensor-index suite
+}
+
+
+def uncalled_definitions() -> dict[str, str]:
+    """{name: where} of every def and class that no other line names."""
+    files = [p for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) if p.name != "__init__.py"]
+    lines = {p: p.read_text().splitlines() for p in files}
+    out = {}
+    for path in files:
+        if path.parent != SRC:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue  # called by the language
+            own = range(min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno + 1)
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            if not any(
+                word.search(line) and not (other == path and k in own)
+                for other, text in lines.items()
+                for k, line in enumerate(text, 1)
+            ):
+                out[node.name] = f"{path.name}:{node.lineno}"
+    return out
+
+
+def test_every_definition_has_a_caller():
+    uncalled = uncalled_definitions()
+    assert {name: at for name, at in uncalled.items() if name not in ALLOWED} == {}
+    # an allowed name that gains a caller leaves the list
+    assert ALLOWED <= set(uncalled)

@@ -12,14 +12,10 @@ from functal.functional import (
     Alpha,
     Functional,
     Subspace,
-    b_form,
-    conjugate_functional,
     gram,
     is_multiplicative,
-    is_nondegenerate,
     nil,
     pencil_at,
-    q_form,
     rank_gram,
     restrict_form,
     stab,
@@ -28,7 +24,7 @@ from functal.functional import (
     vanishes_on,
 )
 from functal.gallery import gallery_algebras
-from functal.linalg import RatMatrix, kernel
+from functal.linalg import RatMatrix, det, inverse, kernel
 from functal.spectrum import char_poly, spectrum
 
 
@@ -68,7 +64,7 @@ def test_gram_mat2_values_match_direct_products():
     g = gram(f)
     for i in range(4):
         for j in range(4):
-            prod = m2.basis_element(i) * m2.basis_element(j)
+            prod = m2.element(m2.basis_vector(i)) * m2.element(m2.basis_vector(j))
             assert g[i, j] == f(prod)
     # substitute a=1, b=0, c=0, d=2 into the matrix-unit table by hand
     assert g == RatMatrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 2, 0, 0], [0, 0, 0, 2]])
@@ -104,10 +100,12 @@ def test_gram_is_linear_in_f():
 
 
 def test_b_and_q_forms():
+    # the skew and symmetric parts of the pairing matrix
     rng = random.Random(1)
     m3 = mat(3)
     f = rand_functional(m3, rng)
-    b, q = b_form(f), q_form(f)
+    m = gram(f)
+    b, q = m - m.transpose(), m + m.transpose()
     assert b.transpose() == b.scale(-1)
     assert q.transpose() == q
     x = tuple(Q(rng.randint(-9, 9)) for _ in range(9))
@@ -324,7 +322,7 @@ def test_subspace_intersect_and_sum():
     a = Subspace(m2, [m2.basis_vector(0), m2.basis_vector(1)])
     b = Subspace(m2, [m2.basis_vector(1), m2.basis_vector(2)])
     assert a.intersect(b) == Subspace(m2, [m2.basis_vector(1)])
-    assert a.sum_with(b).dim == 3
+    assert Subspace(m2, a.basis + b.basis).dim == 3
 
 
 def test_vanishes_on():
@@ -345,25 +343,28 @@ def test_restrict_q_form_on_diag_stabilizer():
     m2 = mat(2)
     f = trace_functional(m2, RatMatrix([[1, 0], [0, 2]]))
     s1 = stab(f, 1)
-    q = restrict_form(q_form(f), s1, s1)
+    m = gram(f)
+    q = restrict_form(m + m.transpose(), s1, s1)
     assert q == RatMatrix([[2, 0], [0, 4]])
-    assert is_nondegenerate(q)
+    assert det(q) != 0
 
 
 def test_restrict_form_scalar_unity_case():
     alg = ut(1)  # one-dimensional unital algebra
     f = Functional(alg, (Q(3),))
     s1 = stab(f, 1)
-    q = restrict_form(q_form(f), s1, s1)
+    m = gram(f)
+    q = restrict_form(m + m.transpose(), s1, s1)
     assert q == RatMatrix([[6]])  # 2 F(1)
-    assert is_nondegenerate(q)
+    assert det(q) != 0
 
 
 def test_empty_restriction_is_nondegenerate():
     m2 = mat(2)
     z = Subspace.zero(m2)
-    q = restrict_form(q_form(Functional.zero(m2)), z, z)
-    assert q.rows == 0 and is_nondegenerate(q)
+    m = gram(Functional.zero(m2))
+    q = restrict_form(m + m.transpose(), z, z)
+    assert q.rows == 0 and det(q) != 0
 
 
 # ---------------------------------------------------------------------------
@@ -371,28 +372,45 @@ def test_empty_restriction_is_nondegenerate():
 # ---------------------------------------------------------------------------
 
 
+def conjugate(f, g):
+    """F'(x) = F(g^-1 x g) on mat(n): the trace functional of g F^ g^-1."""
+    n = g.rows
+    f_hat = RatMatrix([[f.coords[i * n + j] for i in range(n)] for j in range(n)])  # F(E_ij) = f_hat[j, i]
+    return trace_functional(f.algebra, g @ f_hat @ inverse(g))
+
+
 def test_conjugate_functional_identity_and_inverse():
     m2 = mat(2)
     rng = random.Random(7)
     f = rand_functional(m2, rng)
-    assert conjugate_functional(f, RatMatrix.identity(2)).coords == f.coords
+    assert conjugate(f, RatMatrix.identity(2)).coords == f.coords
     g = RatMatrix([[1, 1], [0, 1]])
     g_inv = RatMatrix([[1, -1], [0, 1]])
-    assert conjugate_functional(conjugate_functional(f, g), g_inv).coords == f.coords
+    assert inverse(g) == g_inv
+    assert conjugate(conjugate(f, g), g_inv).coords == f.coords
+    # independent oracle: F(g^-1 E_ij g) by products in the algebra
+    f2 = conjugate(f, g)
+    g_el, g_inv_el = (m2.element([m[r, c] for r in range(2) for c in range(2)]) for m in (g, g_inv))
+    for k in range(4):
+        e = m2.element(m2.basis_vector(k))
+        assert f2(e) == f(g_inv_el * e * g_el)
 
 
 def test_conjugate_functional_preserves_char_poly():
     m2 = mat(2)
     f = trace_functional(m2, RatMatrix([[1, 0], [0, 2]]))
-    f2 = conjugate_functional(f, RatMatrix([[1, 1], [0, 1]]))
+    f2 = conjugate(f, RatMatrix([[1, 1], [0, 1]]))
+    assert f2.coords != f.coords
     assert char_poly(f2) == char_poly(f)
 
 
 def test_conjugate_functional_errors():
     with pytest.raises(NotMatrixAlgebra):
-        conjugate_functional(Functional.zero(ut(2)), RatMatrix.identity(2))
+        trace_functional(ut(2), RatMatrix.identity(2))
+    with pytest.raises(ValueError):
+        trace_functional(mat(2), RatMatrix.identity(3))
     with pytest.raises(SingularMatrix):
-        conjugate_functional(Functional.zero(mat(2)), RatMatrix([[1, 1], [1, 1]]))
+        conjugate(Functional.zero(mat(2)), RatMatrix([[1, 1], [1, 1]]))
 
 
 def test_trace_functional_matches_trace():
@@ -449,12 +467,12 @@ def test_subspace_pivots_and_intersection_against_sympy():
         expected = Subspace(alg, points)
         assert u.intersect(w) == expected
         assert w.intersect(u) == expected
-        assert expected.dim == u.dim + w.dim - u.sum_with(w).dim
+        assert expected.dim == u.dim + w.dim - Subspace(alg, u.basis + w.basis).dim
         # membership: v in u exactly when appending it keeps the sympy rank
         for v in ws:
             rows = [list(b) for b in u.basis] + [list(v)]
             assert u.contains(v) == (sympy.Matrix(rows).rank() == u.dim)
-        assert u.contains_subspace(w) == (u.sum_with(w).dim == u.dim)
+        assert u.contains_subspace(w) == (Subspace(alg, u.basis + w.basis).dim == u.dim)
         assert u.contains_subspace(expected) and w.contains_subspace(expected)
 
     check()

@@ -1,10 +1,12 @@
 import importlib
+import math
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from functal.algebra import (
+    direct_sum,
     mat,
     nilpotent_pair,
     seaweed,
@@ -13,11 +15,11 @@ from functal.algebra import (
     ut,
     validate,
 )
-from functal.errors import EnvelopeExceeded, NoRegularAlpha0, NotAnIdeal, ZeroPolynomial
-from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, stab, trace_functional
+from functal.errors import EnvelopeExceeded, NoRegularAlpha0, ZeroPolynomial
+from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, nil, stab, trace_functional
 from functal.gallery import gallery_algebras
 from functal.linalg import PRIME, RatMatrix
-from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly
+from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly, uni_roots
 from functal.sampling import SamplerConfig, sample_functionals
 from functal.spectrum import (
     char_poly,
@@ -27,8 +29,6 @@ from functal.spectrum import (
     find_regular,
     index,
     jordan_spaces,
-    pencil_poly,
-    quotient_by_nil,
     regularity_corollary_suite,
     spectrum,
 )
@@ -66,7 +66,7 @@ def test_char_poly_zero_functional():
 def test_char_poly_mat2_diag12():
     f = trace_functional(mat(2), RatMatrix([[1, 0], [0, 2]]))
     expected = Q(-2) * (LAM + MU) ** 2 * (Q(2) * (LAM - MU) ** 2 + Q(9) * LAM * MU)
-    assert char_poly(f).proportional_to(expected)
+    assert char_poly(f) == expected.canonical()
     # independent oracle: expand the 4x4 pencil determinant by cofactors
     m = gram(f)
     entries = [[LAM * m[i, j] + MU * m[j, i] for j in range(4)] for i in range(4)]
@@ -128,8 +128,12 @@ def test_symbolic_matches_pointwise_on_small_algebras():
         chi_sym = char_poly_symbolic(alg)
         for _ in range(25):
             f = rand_functional(alg, rng)
-            assigned = chi_sym.restrict_to(("lam", "mu"), dict(zip(alg.labels, f.coords)))
-            lhs = BivariatePoly(assigned.terms).canonical()
+            # substitute F's coordinates for the basis-label variables
+            assigned = {}
+            for (i, j, *ks), c in chi_sym.terms.items():
+                c *= math.prod(x**k for x, k in zip(f.coords, ks))
+                assigned[i, j] = assigned.get((i, j), 0) + c
+            lhs = BivariatePoly(assigned).canonical()
             assert lhs == char_poly(f)
 
 
@@ -140,7 +144,7 @@ def test_symbolic_matches_pointwise_on_small_algebras():
 
 def test_pencil_poly_mat2_roots():
     f = trace_functional(mat(2), RatMatrix([[1, 0], [0, 2]]))
-    p = pencil_poly(f)
+    p = char_poly_raw(f).dehomogenize()
     from functal.poly import uni_roots
 
     roots = dict(uni_roots(p))
@@ -149,7 +153,7 @@ def test_pencil_poly_mat2_roots():
 
 def test_pencil_poly_ut2():
     f = Functional(ut(2), (Q(1), Q(1), Q(1)))
-    p = pencil_poly(f)
+    p = char_poly_raw(f).dehomogenize()
     assert p.degree == 2
     assert p(0) == 0 and p(1) == 0
 
@@ -157,8 +161,11 @@ def test_pencil_poly_ut2():
 def test_pencil_poly_zero_chi_raises():
     alg = nilpotent_pair([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
     f = Functional.from_dict(alg, {"w": 1})
+    chi = char_poly_raw(f)
+    assert chi.is_zero()
     with pytest.raises(ZeroPolynomial):
-        pencil_poly(f)
+        uni_roots(chi.dehomogenize())
+    assert spectrum(f).degenerate
 
 
 def test_spectrum_mat2_diag12():
@@ -457,12 +464,12 @@ def test_index_desk_values():
 def test_find_regular_values():
     cfg = SamplerConfig(seed=7, samples=8)
     _, d = find_regular(mat(2), Q(1), cfg)
-    assert d == 2
+    assert d.dim == 2
     _, d0 = find_regular(ut(2), Q(0), cfg)
-    assert d0 == 1
+    assert d0.dim == 1
     for alg in (ut(2), mat(2), seaweed([2, 1], [1, 2])):
         _, d1 = find_regular(alg, Q(1), cfg)
-        assert d1 >= 1  # unity always stabilizes
+        assert d1.dim >= 1  # unity always stabilizes
 
 
 @pytest.mark.parametrize(
@@ -504,49 +511,54 @@ def test_regularity_mat2_has_no_constant_finite_alphas():
 
 
 # ---------------------------------------------------------------------------
-# quotient
+# the nil space as an ideal
 # ---------------------------------------------------------------------------
+
+
+def is_two_sided_ideal(space):
+    alg = space.algebra
+    units = [alg.basis_vector(i) for i in range(alg.dim)]
+    return all(
+        space.contains(alg.product_coords(v, e)) and space.contains(alg.product_coords(e, v))
+        for v in space.basis
+        for e in units
+    )
 
 
 def test_quotient_by_nil_shared_column():
     alg = nilpotent_pair([[0, 0, 1], [0, 0, 1], [0, 0, 0]])
     f = Functional.from_dict(alg, {"w": 1, "v1": 3, "v2": 4, "v3": 5})
-    q_alg, q_f = quotient_by_nil(alg, f)
-    assert q_alg.dim == 2
-    assert validate(q_alg) == []
-    assert q_f.algebra == q_alg
-    assert q_f.coords == (Q(4), Q(5))  # values on v2, v3
+    n = nil(f)
+    assert n == Subspace(alg, [(1, -1, 0, 0), (0, 0, 0, 1)])  # v1 - v2 and w
+    assert alg.dim - n.dim == 2
+    assert [alg.labels[i] for i in range(alg.dim) if i not in n.pivots] == ["v2", "v3"]
+    assert is_two_sided_ideal(n)
     # every product of this two-step algebra lands inside the nil space, so
-    # the quotient multiplication is zero; the induced pencil on a complement
-    # is reached through char_poly(f, V) instead (see the classify test)
-    assert all(q_alg.table[i][j] == () for i in range(2) for j in range(2))
+    # the quotient multiplication is zero
+    units = [alg.basis_vector(i) for i in range(alg.dim)]
+    assert all(n.contains(alg.product_coords(x, y)) for x in units for y in units)
 
 
 def test_quotient_by_nil_recovers_live_summand():
     trivial = nilpotent_pair([[0]])  # two dims, all products zero
-    from functal.algebra import direct_sum
-
     alg = direct_sum(ut(2), trivial)
     f = Functional(alg, (Q(2), Q(3), Q(5), Q(0), Q(0)))
-    q_alg, q_f = quotient_by_nil(alg, f)
-    assert q_alg.dim == 3
-    assert q_alg.table == ut(2).table
-    assert q_f.coords == (Q(2), Q(3), Q(5))
-    assert char_poly_raw(q_f) == char_poly_raw(Functional(ut(2), (Q(2), Q(3), Q(5))))
+    n = nil(f)
+    assert n == Subspace(alg, [alg.basis_vector(3), alg.basis_vector(4)])
+    assert is_two_sided_ideal(n)
+    live = Subspace(alg, [alg.basis_vector(i) for i in range(3)])
+    assert char_poly_raw(f, live) == char_poly_raw(Functional(ut(2), (Q(2), Q(3), Q(5))))
 
 
 def test_quotient_by_nil_trivial_when_nil_zero():
     rng = random.Random(6)
     f = rand_functional(mat(2), rng, lo=1, hi=9)
-    q_alg, q_f = quotient_by_nil(mat(2), f)
-    assert q_alg == mat(2) and q_f.coords == f.coords
+    assert nil(f).is_zero()
 
 
 def test_quotient_by_nil_rejects_non_ideal():
     u3 = ut(3)
     f = Functional(u3, (Q(3), Q(0), Q(3), Q(0), Q(-3), Q(-1)))
-    from functal.functional import nil
-
-    assert nil(f).dim == 1
-    with pytest.raises(NotAnIdeal):
-        quotient_by_nil(u3, f)
+    n = nil(f)
+    assert n.dim == 1
+    assert not is_two_sided_ideal(n)
