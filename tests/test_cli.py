@@ -35,6 +35,11 @@ SAMPLING_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "sampling_in
 # transposes and scalings moved to the integer form, which keeps them; the
 # float `max_relative_error` also pins the balanced inputs bit for bit
 IDENTITY_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "identities_sha256.json").read_text())
+# `verify stab-props`, `vk-props`, `regular-corollaries` and `tensor-stab` at
+# seeds 1-9, recorded before those suites stopped repeating work whose
+# answer they already had; seed 7 gives `regular-corollaries` degenerate
+# samples (the first `qq` draw and a later seaweed draw)
+SUITE_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "suites_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -245,6 +250,15 @@ def test_identity_checks_are_byte_identical(capsys, command):
     code, out, err = run(capsys, *command.split())
     assert code == 0 and err == ""
     assert sha256(out) == IDENTITY_DIGESTS[command]
+
+
+def test_suite_outputs_are_byte_identical(capsys):
+    changed = []
+    for command, digest in sorted(SUITE_DIGESTS.items()):
+        code, out, err = run(capsys, *command.split())
+        if code != 0 or err or sha256(out) != digest:
+            changed.append(command)
+    assert changed == []
 
 
 @pytest.mark.parametrize("name, b", [("INVERTIBLE_B", INVERTIBLE_B), ("JORDAN_BLOCK_B", JORDAN_BLOCK_B)])
