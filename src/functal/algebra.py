@@ -108,9 +108,6 @@ class Algebra:
                     out[k] += f * c
         return tuple(out)
 
-    def element(self, coords) -> "AlgebraElement":
-        return AlgebraElement(self, vec(coords))
-
     def is_unital(self) -> bool:
         return self.unity is not None
 

@@ -93,9 +93,6 @@ class MultivariatePoly:
         exp = next(iter(self.terms))
         return exp, self.terms[exp]
 
-    def coefficient(self, exp: tuple[int, ...]) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
-
     # -- arithmetic -----------------------------------------------------
 
     def _check(self, other: "MultivariatePoly"):

@@ -220,11 +220,15 @@ class JordanFiltration:
     def top(self) -> Subspace:
         return self.levels[-1]
 
-    def level(self, k: int) -> Subspace:
-        """V_k with saturation: levels beyond stabilization repeat the top."""
+    def saturated(self, k: int) -> int:
+        """The j <= k with V_k = V_j: levels beyond stabilization repeat the top."""
         if k < 1:
             raise ValueError("levels start at 1")
-        return self.levels[min(k, len(self.levels)) - 1]
+        return min(k, len(self.levels))
+
+    def level(self, k: int) -> Subspace:
+        """V_k with saturation: levels beyond stabilization repeat the top."""
+        return self.levels[self.saturated(k) - 1]
 
 
 def _alpha0_candidates(n: int):
@@ -394,15 +398,28 @@ def index(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> IndexReport
 
 
 def constant_spectrum_alphas(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> set[Alpha]:
-    """Exact spectral values present (stab != 0) at every sampled functional."""
-    common: set[Alpha] | None = None
-    for f in sample_functionals(alg, sampler):
+    """Exact spectral values present (stab != 0) at every nondegenerate sampled functional.
+
+    The first nondegenerate sample's spectrum gives the candidates; each later
+    sample keeps a candidate alpha only if det(M^T - alpha*M) = 0 (det M = 0
+    at infinity).  At a nondegenerate F that is exactly stab(alpha) != 0, 0
+    and infinity included; at a degenerate F every pencil is singular, so it
+    keeps every candidate, as skipping it would.
+    """
+    fs = iter(sample_functionals(alg, sampler))
+    for f in fs:
         rep = spectrum(f)
-        if rep.degenerate:
-            continue
-        present = {e.alpha for e in rep.all_entries() if isinstance(e.alpha, Alpha) and e.stab_dim > 0}
-        common = present if common is None else (common & present)
-    return common or set()
+        if not rep.degenerate:
+            break
+    else:
+        return set()
+    common = {e.alpha for e in rep.all_entries() if isinstance(e.alpha, Alpha) and e.stab_dim > 0}
+    for f in fs:
+        if not common:
+            break
+        m = gram(f)
+        common = {a for a in common if det(pencil_at(m, a)) == 0}
+    return common
 
 
 @dataclass(frozen=True)

@@ -325,9 +325,11 @@ def tensor_vk_suite(
     checks: list[CheckResult] = []
     alphas_a = spectrum(f).exact_alphas()
     alphas_b = spectrum(g).exact_alphas()
-    # each factor filtration is computed once per call, at its first use
+    # each factor filtration, and the product filtration at each ab, is
+    # computed once per call, at its first use
     filtration_a = functools.cache(lambda a: jordan_spaces(f, a))
     filtration_b = functools.cache(lambda b: jordan_spaces(g, b))
+    filtration_ab = functools.cache(lambda ab: jordan_spaces(fg, ab))
     for a in alphas_a:
         for b in alphas_b:
             if {a, b} == {Alpha(0), ALPHA_INF}:
@@ -337,7 +339,7 @@ def tensor_vk_suite(
             except ValueError:
                 continue
             try:
-                ft = jordan_spaces(fg, ab)
+                ft = filtration_ab(ab)
             except NoRegularAlpha0:
                 return SuiteReport("tensor-vk", tuple(checks), seed)
             fa = filtration_a(a)

@@ -8,6 +8,7 @@ import pytest
 
 from functal.algebra import (
     Algebra,
+    AlgebraElement,
     direct_sum,
     mat,
     multiply,
@@ -24,6 +25,7 @@ from functal.algebra import (
 from functal.errors import AlgebraMismatch, AlgebraParseError, AssociativityViolation
 from functal.functional import Functional, gram
 from functal.gallery import gallery_algebras
+from functal.linalg import vec
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -161,7 +163,7 @@ def test_nilpotent_pair_triple_products_vanish():
     assert validate(alg) == []
     for _ in range(5):
         x, y, z = (
-            alg.element([Q(rng.randint(-4, 4)) for _ in range(alg.dim)]) for _ in range(3)
+            AlgebraElement(alg, vec([Q(rng.randint(-4, 4)) for _ in range(alg.dim)])) for _ in range(3)
         )
         assert ((x * y) * z).is_zero()
         assert (x * (y * z)).is_zero()
@@ -191,9 +193,9 @@ def test_unital_extension_random_b_validates():
     b = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(4)]
     alg = unital_extension(nilpotent_pair(b))
     assert validate(alg) == []
-    one = alg.element(alg.unity)
+    one = AlgebraElement(alg, vec(alg.unity))
     for i in range(alg.dim):
-        e = alg.element(alg.basis_vector(i))
+        e = AlgebraElement(alg, vec(alg.basis_vector(i)))
         assert (one * e).coords == e.coords
         assert (e * one).coords == e.coords
 
@@ -205,17 +207,17 @@ def test_unital_extension_random_b_validates():
 
 def test_multiply_matrix_units():
     m2 = mat(2)
-    b = m2.element(m2.basis_vector(1))  # E12
-    c = m2.element(m2.basis_vector(2))  # E21
+    b = AlgebraElement(m2, vec(m2.basis_vector(1)))  # E12
+    c = AlgebraElement(m2, vec(m2.basis_vector(2)))  # E21
     assert (b * c).coords == m2.basis_vector(0)  # E11
     assert (c * b).coords == m2.basis_vector(3)  # E22
 
 
 def test_multiply_unity_fixes_everything():
     u2 = ut(2)
-    one = u2.element(u2.unity)
+    one = AlgebraElement(u2, vec(u2.unity))
     rng = random.Random(9)
-    x = u2.element([Q(rng.randint(-9, 9)) for _ in range(3)])
+    x = AlgebraElement(u2, vec([Q(rng.randint(-9, 9)) for _ in range(3)]))
     assert (one * x).coords == x.coords
     assert (x * one).coords == x.coords
 
@@ -223,7 +225,7 @@ def test_multiply_unity_fixes_everything():
 def test_multiply_is_bilinear():
     m2 = mat(2)
     rng = random.Random(10)
-    x, y, z = (m2.element([Q(rng.randint(-9, 9)) for _ in range(4)]) for _ in range(3))
+    x, y, z = (AlgebraElement(m2, vec([Q(rng.randint(-9, 9)) for _ in range(4)])) for _ in range(3))
     c = Q(3, 2)
     assert ((x + y) * z).coords == ((x * z) + (y * z)).coords
     assert ((c * x) * y).coords == (c * (x * y)).coords
@@ -232,7 +234,7 @@ def test_multiply_is_bilinear():
 def test_multiply_rejects_mixed_algebras():
     m2, u2 = mat(2), ut(2)
     with pytest.raises(AlgebraMismatch):
-        multiply(m2.element(m2.basis_vector(0)), u2.element(u2.basis_vector(0)))
+        multiply(AlgebraElement(m2, vec(m2.basis_vector(0))), AlgebraElement(u2, vec(u2.basis_vector(0))))
 
 
 def test_validate_flags_perturbed_mat2():

@@ -1,9 +1,9 @@
 """No helper without a caller: every def and class in src/functal is named
-somewhere in src/functal or perfbench/*.py besides its own definition and
+in the code of src/functal or perfbench/*.py besides its own definition and
 the package's __init__.py, which only re-exports."""
 
 import ast
-import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -15,10 +15,29 @@ ALLOWED = {
 }
 
 
+def named(path: Path) -> list[tuple[str, int]]:
+    """(name, line) of every NAME token, and of every string literal that is
+    exactly an identifier (as in a list of attribute names); a word in a
+    docstring or a comment names nothing."""
+    out = []
+    with tokenize.open(path) as fh:
+        for tok in tokenize.generate_tokens(fh.readline):
+            if tok.type == tokenize.NAME:
+                out.append((tok.string, tok.start[0]))
+            elif tok.type == tokenize.STRING:
+                try:
+                    value = ast.literal_eval(tok.string)
+                except (ValueError, SyntaxError):
+                    continue  # an f-string
+                if isinstance(value, str) and value.isidentifier():
+                    out.append((value, tok.start[0]))
+    return out
+
+
 def uncalled_definitions() -> dict[str, str]:
     """{name: where} of every def and class that no other line names."""
     files = [p for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) if p.name != "__init__.py"]
-    lines = {p: p.read_text().splitlines() for p in files}
+    names = {p: named(p) for p in files}
     out = {}
     for path in files:
         if path.parent != SRC:
@@ -29,11 +48,10 @@ def uncalled_definitions() -> dict[str, str]:
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue  # called by the language
             own = range(min([node.lineno] + [d.lineno for d in node.decorator_list]), node.end_lineno + 1)
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
             if not any(
-                word.search(line) and not (other == path and k in own)
-                for other, text in lines.items()
-                for k, line in enumerate(text, 1)
+                name == node.name and not (other == path and line in own)
+                for other, found in names.items()
+                for name, line in found
             ):
                 out[node.name] = f"{path.name}:{node.lineno}"
     return out

@@ -26,6 +26,7 @@ from functal.spectrum import (
     char_poly_raw,
     char_poly_symbolic,
     classify,
+    constant_spectrum_alphas,
     find_regular,
     index,
     jordan_spaces,
@@ -508,6 +509,49 @@ def test_regularity_corollaries_pass_on_desk_pairs():
 def test_regularity_mat2_has_no_constant_finite_alphas():
     rep = regularity_corollary_suite(mat(2), SamplerConfig(seed=3, samples=8))
     assert rep.constant_alphas == ()
+
+
+def intersected_spectra(alg, cfg):
+    """Oracle: the exact alphas with stab != 0 common to the spectra of every
+    nondegenerate sample (no sample, no constant)."""
+    sets = [
+        {e.alpha for e in rep.all_entries() if isinstance(e.alpha, Alpha) and e.stab_dim > 0}
+        for rep in map(spectrum, sample_functionals(alg, cfg))
+        if not rep.degenerate
+    ]
+    return set.intersection(*sets) if sets else set()
+
+
+@pytest.mark.parametrize("name", sorted(gallery_algebras()))
+def test_constant_spectrum_alphas_matches_intersected_spectra(name):
+    alg = gallery_algebras()[name]
+    for seed in range(10):
+        for samples in (1, 8):
+            cfg = SamplerConfig(seed=seed, samples=samples)
+            assert constant_spectrum_alphas(alg, cfg) == intersected_spectra(alg, cfg), (seed, samples)
+
+
+@pytest.mark.parametrize(
+    "name, seed, samples, degenerate, expected",
+    [
+        ("unital_ext_nondiag", 0, 8, [], {"1", "1/2", "2"}),
+        # -1 is in the first sample's spectrum only
+        ("mat2", 0, 1, [], {"-1", "1"}),
+        ("mat2", 0, 8, [], {"1"}),
+        # the candidates come from the second sample
+        ("qq", 7, 8, [0], {"1"}),
+        # a degenerate later sample keeps every candidate, 0 and inf included
+        ("seaweed_12_21", 7, 8, [1], {"0", "1", "inf"}),
+    ],
+)
+def test_constant_spectrum_alphas_named_cases(name, seed, samples, degenerate, expected):
+    alg = gallery_algebras()[name]
+    cfg = SamplerConfig(seed=seed, samples=samples)
+    fs = sample_functionals(alg, cfg)
+    assert [i for i, f in enumerate(fs) if spectrum(f).degenerate] == degenerate
+    got = constant_spectrum_alphas(alg, cfg)
+    assert {str(a) for a in got} == expected
+    assert got == intersected_spectra(alg, cfg)
 
 
 # ---------------------------------------------------------------------------
