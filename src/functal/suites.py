@@ -208,7 +208,7 @@ def vk_props_suite(seed: int = 0) -> SuiteReport:
                 filtrations[str(target)] = jordan_spaces(f, target)
             fa, fb, ft = filtrations[str(a)], filtrations[str(b)], filtrations[str(target)]
             # levels saturate, so the six (k, m) checks share one product and one
-            # containment per distinct level triple (V_k(a), V_m(b), V_{k+m-1}(ab))
+            # containment per distinct level triple (V_k(a), V_m(b), V_{k+m-1}(target))
             verdicts: dict[tuple[int, int, int], bool] = {}
             for k in (1, 2, 3):
                 for m_lvl in (1, 2, 3):
