@@ -21,8 +21,10 @@ from functools import cached_property
 from math import lcm
 from typing import Sequence
 
+import numpy as np
+
 from .errors import AlgebraMismatch, AlgebraParseError, AssociativityViolation
-from .linalg import Vector, vec, vec_add, vec_is_zero, vec_scale
+from .linalg import PRIME, Vector, vec, vec_add, vec_is_zero, vec_scale
 from .scalars import rat, rat_str
 
 # ascending nonzero (k, c) pairs of one product e_i * e_j
@@ -90,6 +92,22 @@ class Algebra:
         """(d, the table with every coefficient times d), d the lcm of their denominators."""
         d = lcm(*(c.denominator for row in self.table for cell in row for _, c in cell))
         return d, tuple(tuple(tuple((k, c.numerator * d // c.denominator) for k, c in cell) for cell in row) for row in self.table)
+
+    @cached_property
+    def table_mod_p(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index arrays (cell, k, c) of the coefficients of `integer_table` that
+        are nonzero mod PRIME, reduced mod PRIME, with cell = i * dim + j."""
+        _, table = self.integer_table
+        n = self.dim
+        triples = [
+            (i * n + j, k, c % PRIME)
+            for i, row in enumerate(table)
+            for j, cell in enumerate(row)
+            for k, c in cell
+            if c % PRIME
+        ]
+        cells, ks, cs = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+        return cells, ks, cs
 
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))

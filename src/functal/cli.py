@@ -11,6 +11,7 @@ JSON with --format json.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -135,10 +136,10 @@ class _Given(argparse.Action):
 def _common_flags(suppress: bool) -> argparse.ArgumentParser:
     # Registered on the main parser with real defaults and on every
     # subparser with SUPPRESS, so flags work on either side of the verb.
+    # --seed defaults to None: `run` reads FUNCTAL_SEED on each call.
     d = argparse.SUPPRESS if suppress else None
-    default_seed = int(os.environ.get("FUNCTAL_SEED", "0"))
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=d if suppress else default_seed, help="RNG seed (env FUNCTAL_SEED)")
+    p.add_argument("--seed", type=int, default=d, help="RNG seed (default: env FUNCTAL_SEED, else 0)")
     p.add_argument("--samples", type=int, action=_Given, default=d if suppress else 8, help="sample count for generic searches")
     p.add_argument("--format", choices=("text", "json"), default=d if suppress else "text")
     p.add_argument("--tol", type=float, action=_Given, default=d if suppress else 1e-6, help="numeric tolerance")
@@ -147,7 +148,9 @@ def _common_flags(suppress: bool) -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first `run` and kept for the process."""
     common = _common_flags(suppress=True)
     ap = argparse.ArgumentParser(
         prog="functal",
@@ -213,6 +216,12 @@ def run(argv: list[str] | None = None) -> int:
     out_path = getattr(args, "output", None)
     prev_stdout = sys.stdout
     try:
+        if args.seed is None:
+            env = os.environ.get("FUNCTAL_SEED", "0")
+            try:
+                args.seed = int(env)
+            except ValueError:
+                raise ValueError(f"FUNCTAL_SEED must be an integer, got {env!r}") from None
         if out_path:
             sys.stdout = open(out_path, "w")  # noqa: SIM115 - closed in the finally below
         return _dispatch(args)

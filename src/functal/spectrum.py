@@ -38,7 +38,7 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import RatMatrix, Vector, det, ff_det, kernel, rank_mod_p
+from .linalg import PRIME, RatMatrix, Vector, det, ff_det, kernel, ranks_mod_p
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
@@ -332,11 +332,14 @@ def classify(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> Classifi
     sampled chi is nonzero; otherwise the nil space of a minimal witness is
     completed to a complement V and the verdict is Type2 exactly when some
     sampled chi restricted to V is nonzero.  Nil dimensions, of ker [M ; M^T],
-    are screened as in `find_regular`, with the same guarantees for
-    ``min_nil_dim``; a screened minimum of 0 is exact already.
+    are screened in one stack as in `find_regular`, with the same guarantees
+    for ``min_nil_dim``; a screened minimum of 0 is exact already.  Exact
+    pairing matrices are built only for the witness's nil space and for the
+    chi tests.
     """
     fs = sample_functionals(alg, sampler)
-    nil_dims = [alg.dim - rank_mod_p(pencil_at(m, ALPHA_INF) + pencil_at(m, Alpha(0))) for m in map(gram, fs)]
+    ms = _pairings_mod_p(alg, fs)
+    nil_dims = (alg.dim - ranks_mod_p(np.concatenate([ms, ms.transpose(0, 2, 1)], axis=1))).tolist()
     witness = fs[nil_dims.index(min(nil_dims))]
     witness_nil = nil(witness) if min(nil_dims) else None
     if witness_nil is not None and witness_nil.dim != min(nil_dims):
@@ -370,18 +373,47 @@ def _stab_at(args) -> Subspace:
     return stab(f, alpha)
 
 
+def _pairings_mod_p(alg: Algebra, fs: list[Functional]) -> np.ndarray:
+    """The (S, n, n) stack of the residues mod PRIME of dx * dt * M, for each
+    functional's pairing matrix M, dx the lcm of its denominators and dt that
+    of `integer_table`; read from `Algebra.table_mod_p` with no exact `gram`.
+    That is `gram(f).integer_form()` mod PRIME times the integer dx * dt / d,
+    which is 1 for integer coordinates on an integer table."""
+    cells, ks, cs = alg.table_mod_p
+    x = np.zeros((len(fs), alg.dim), dtype=np.int64)
+    for s, f in enumerate(fs):
+        dx = lcm(*(c.denominator for c in f.coords))
+        x[s] = [c.numerator * (dx // c.denominator) % PRIME for c in f.coords]
+    ms = np.zeros((len(fs), alg.dim * alg.dim), dtype=np.int64)
+    # each term is below PRIME, so a cell sums 2**32 of them before overflow
+    np.add.at(ms, (slice(None), cells), x[:, ks] * cs % PRIME)
+    return ms.reshape(len(fs), alg.dim, alg.dim) % PRIME
+
+
+def _pencils_mod_p(ms: np.ndarray, alpha: Alpha) -> np.ndarray:
+    """`pencil_at` mod PRIME of each matrix in a stack of residues:
+    v * M^T - u * M for alpha = u/v, and M itself at infinity."""
+    if alpha.is_infinite:
+        return ms
+    u, v = alpha.value.numerator % PRIME, alpha.value.denominator % PRIME
+    return (v * ms.transpose(0, 2, 1) - u * ms) % PRIME
+
+
 def find_regular(alg: Algebra, alpha, sampler: SamplerConfig = SamplerConfig()) -> tuple[Functional, Subspace]:
     """Sampled functional achieving the minimal observed dim stab(alpha), and its stab(alpha).
 
-    Each sample is screened by n - rank over GF(PRIME) of its pencil, at least
-    dim stab(alpha).  The stabilizer returned is exact at the witness; if its
-    dimension differs from the screen, the exact stabilizers of all samples
-    decide.  A sample is misjudged as non-minimal only if PRIME divides every
-    maximal minor of its pencil.
+    All samples are screened at once: n - rank over GF(PRIME) of each pencil,
+    at least dim stab(alpha), from one stack of pencils built from the
+    structure table and the samples' integer coordinates, with no exact
+    pairing matrix (`_pairings_mod_p`, `ranks_mod_p`).  The stabilizer
+    returned is exact at the witness; if its dimension differs from the
+    screen, the exact stabilizers of all samples decide.  A sample is
+    misjudged as non-minimal only if PRIME divides every maximal minor of its
+    pencil.
     """
     alpha = Alpha.of(alpha)
     fs = sample_functionals(alg, sampler)
-    dims = [alg.dim - rank_mod_p(pencil_at(gram(f), alpha)) for f in fs]
+    dims = (alg.dim - ranks_mod_p(_pencils_mod_p(_pairings_mod_p(alg, fs), alpha))).tolist()
     best = dims.index(min(dims))
     space = stab(fs[best], alpha)
     if space.dim != dims[best]:

@@ -299,7 +299,7 @@ def tensor_chi_suite(seed: int = 0) -> SuiteReport:
             f"gram(F(x)G) = gram(F) kron gram(G) [{na} x {nb}]",
             gram(fg) == kron(gram(f), gram(g)),
         )
-        rep = tensor_char_check(a, f, b, g)
+        rep = tensor_char_check(a, f, b, g, fg=fg)
         _check(checks, f"chi routes agree [{na} x {nb}]", rep.pass_, rep.failing_instance or "")
     return SuiteReport("tensor-chi", tuple(checks), seed)
 

@@ -148,6 +148,34 @@ def test_verify_passes_the_flags_its_suite_reads(capsys, tmp_path, argv, suite, 
     assert path.read_text() == json.dumps(to_json(run_suite(suite, **options)), sort_keys=True) + "\n"
 
 
+def test_bad_seed_in_the_environment_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setenv("FUNCTAL_SEED", "abc")
+    code, out, err = run(capsys, "index", "--algebra", "mat:2")
+    assert (code, out) == (2, "")
+    assert_one_line_error(err, "input error", "FUNCTAL_SEED", "abc")
+    # a --seed flag takes precedence and the variable is not read
+    assert run(capsys, "index", "--algebra", "mat:2", "--seed", "1")[0] == 0
+
+
+def test_one_parser_per_process_reads_the_seed_on_every_call(capsys, monkeypatch):
+    monkeypatch.delenv("FUNCTAL_SEED", raising=False)
+    cli.build_parser.cache_clear()
+    argv = ["index", "--algebra", "mat:2", "--format", "json"]
+    first = run(capsys, *argv)
+    monkeypatch.setenv("FUNCTAL_SEED", "5")
+    second = run(capsys, *argv)
+    assert cli.build_parser.cache_info().misses == 1
+    assert first == run(capsys, *argv, "--seed", "0") and json.loads(first[1])["seed"] == 0
+    assert second == run(capsys, *argv, "--seed", "5") and json.loads(second[1])["seed"] == 5
+    # a bad flag after good calls still exits 2, and the parser still works after it
+    with pytest.raises(SystemExit) as exit_info:
+        cli.run(["index", "--algebra", "mat:2", "--no-such-flag"])
+    assert exit_info.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+    assert run(capsys, *argv) == second
+    assert cli.build_parser.cache_info().misses == 1
+
+
 def test_sampler_config_rejects_empty_sample_counts():
     for n in (0, -1):
         with pytest.raises(ValueError, match="--samples"):

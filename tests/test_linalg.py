@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as Q
 from math import lcm
 
+import numpy as np
 import pytest
 
 from functal.linalg import (
@@ -13,7 +14,7 @@ from functal.linalg import (
     kernel,
     kron,
     rank,
-    rank_mod_p,
+    ranks_mod_p,
     rref,
     vec,
 )
@@ -239,6 +240,18 @@ def test_kernel_and_rank_take_integer_rows():
     assert kernel([[1, 2, 3]]) == [(Q(-2), Q(1), Q(0)), (Q(-3), Q(0), Q(1))]
 
 
+def stack(matrices):
+    """The int64 stack of same-shaped integer matrices, each entry reduced mod
+    PRIME with Python integers first."""
+    r = len(matrices[0])
+    n = len(matrices[0][0]) if r else 0
+    return np.array([[[x % PRIME for x in row] for row in m] for m in matrices], dtype=np.int64).reshape(len(matrices), r, n)
+
+
+def rank_mod_p(rows):
+    return int(ranks_mod_p(stack([rows]))[0])
+
+
 def test_rank_mod_p_matches_rank_on_integer_rows():
     for rows in sample_matrices(random.Random(8)) + [[], [[], []], [[0] * 3 for _ in range(2)]]:
         ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
@@ -373,3 +386,36 @@ def test_matrix_arithmetic_matches_the_entrywise_definition():
     _assert_matrix(one @ one, [[Q(9, 2**180)]])
     _assert_matrix(inverse(one), [[Q(-(2**90), 3)]])
     _assert_matrix(RatMatrix.zero(2, 3).transpose() @ RatMatrix([[Q(1, 7), 2], [0, -1]]), [[Q(0)] * 2 for _ in range(3)])
+
+
+def test_ranks_mod_p_of_a_stack_match_exact_ranks():
+    # members of one stack have different ranks and pivot rows, zero columns,
+    # and entries x + k*PRIME: negative, at least 2**63, or multiples of PRIME
+    rng = random.Random(17)
+    lifts = [0, 0, 0, 1, -1, 5, 2**33, -(2**40), 2**64]
+    spread = 0
+    for _ in range(150):
+        r, n, s = rng.randint(1, 7), rng.randint(1, 7), rng.randint(2, 6)
+        zero_cols = {j for j in range(n) if rng.random() < 0.2}
+        small = []
+        for _ in range(s):
+            k = rng.randint(0, min(r, n))
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+            right = [[0 if j in zero_cols else rng.randint(-3, 3) for j in range(n)] for _ in range(k)]
+            m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*right)] if k else [0] * n for row in left]
+            rng.shuffle(m)
+            small.append(m)
+        lifted = [[[x + rng.choice(lifts) * PRIME for x in row] for row in m] for m in small]
+        want = [rank(m) for m in small]
+        assert ranks_mod_p(stack(lifted)).tolist() == want, small
+        assert ranks_mod_p(stack([[[rng.choice(lifts) * PRIME for x in row] for row in m] for m in small])).tolist() == [0] * s
+        spread += len(set(want)) > 1
+    assert spread > 100
+
+
+def test_ranks_mod_p_of_an_empty_stack():
+    assert ranks_mod_p(np.zeros((0, 3, 3), dtype=np.int64)).tolist() == []
+    assert ranks_mod_p(np.zeros((2, 0, 3), dtype=np.int64)).tolist() == [0, 0]
+    # the caller's stack is left as it was
+    a = np.array([[[2, 1], [4, 3]]], dtype=np.int64)
+    assert ranks_mod_p(a).tolist() == [2] and a.tolist() == [[[2, 1], [4, 3]]]

@@ -16,7 +16,7 @@ from functal.algebra import (
     validate,
 )
 from functal.errors import EnvelopeExceeded, NoRegularAlpha0, ZeroPolynomial
-from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, nil, stab, trace_functional
+from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, nil, pencil_at, stab, trace_functional
 from functal.gallery import gallery_algebras
 from functal.linalg import PRIME, RatMatrix
 from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly, uni_roots
@@ -497,6 +497,40 @@ def test_samples_misjudged_mod_p_fall_back_to_the_exact_dimensions(monkeypatch, 
     assert got_index.witness == want_index.witness.scale(PRIME)
     assert (got_type.verdict, got_type.min_nil_dim) == (want_type.verdict, want_type.min_nil_dim)
     assert got_type.witnesses == tuple(w.scale(PRIME) for w in want_type.witnesses)
+
+
+SCREEN_ALPHAS = (Alpha(0), Alpha(1), ALPHA_INF, Alpha(2), Alpha(Q(-1, 2)))
+
+
+def residues(rows, scale=1):
+    return [[x * scale % PRIME for x in row] for row in rows]
+
+
+@pytest.mark.parametrize("name", sorted(gallery_algebras()))
+def test_stacked_pencil_residues_equal_the_exact_pencils(name):
+    # samples have integer coordinates and every gallery table is integral,
+    # so the stack holds exactly the residues of pencil_at's integer rows
+    alg = gallery_algebras()[name]
+    for seed in range(10):
+        fs = sample_functionals(alg, SamplerConfig(seed=seed))
+        ms = spectrum_module._pairings_mod_p(alg, fs)
+        for alpha in SCREEN_ALPHAS:
+            got = spectrum_module._pencils_mod_p(ms, alpha).tolist()
+            assert got == [residues(pencil_at(gram(f), alpha)) for f in fs], (seed, alpha)
+
+
+def test_stacked_pencil_residues_on_a_rational_table():
+    # with denominators, the stack is dx * dt * M: pencil_at's rows times
+    # dx * dt over the denominator of gram's own integer form
+    alg = nilpotent_pair([[Q(1, 2), 3, 0], [Q(-2, 3), 1, Q(5, 4)], [0, Q(7, 6), 2]])
+    fs = [Functional(alg, (Q(1, 3), 2, Q(-5, 4), Q(3, 10))), Functional(alg, (1, 0, -2, Q(1, 2)))]
+    ms = spectrum_module._pairings_mod_p(alg, fs)
+    dt = alg.integer_table[0]
+    for alpha in SCREEN_ALPHAS:
+        got = spectrum_module._pencils_mod_p(ms, alpha).tolist()
+        for f, m in zip(fs, got):
+            dx = math.lcm(*(c.denominator for c in f.coords))
+            assert m == residues(pencil_at(gram(f), alpha), dx * dt // gram(f).integer_form()[0]), alpha
 
 
 def test_regularity_corollaries_pass_on_desk_pairs():
