@@ -12,18 +12,27 @@ pivot, d times each reduced row is an integer row, so the only fractions are
 the final entries x/d (Nakos, Turner, Williams, SIGSAM Bull. 31, 1997).
 `det`, `kernel` and `rank` take a `RatMatrix` or integer rows, which go into
 the elimination as they are.  Kernel bases follow sympy's `nullspace`, so a
-given row space always produces the same basis bit for bit.  Outside that
-loop, `ranks_mod_p` takes word-size ranks over GF(PRIME), never above the
-ranks over Q, of a whole stack of matrices in one numpy elimination, so the
-per-call cost is paid once per stack, not once per matrix (Dumas, Giorgi,
-Pernet, ACM TOMS 35(3), 2008).
+given row space always produces the same basis bit for bit.
+
+Outside that loop, one numpy elimination over word-size primes,
+`_eliminate_mod`, takes a whole stack of matrices at once, so the per-call
+cost is paid once per stack, not once per matrix (Dumas, Giorgi, Pernet,
+ACM TOMS 35(3), 2008).  `ranks_mod_p` reads from it ranks over GF(PRIME),
+never above the ranks over Q.  From CRT_MIN_DIM rows on, determinants come
+from it too: `pencil_dets` takes det(t*P + Q) at every node t of an integer
+pencil from its residues mod as many primes as a Hadamard bound asks for and
+rebuilds each by the Chinese remainder theorem, exactly (Abbott, Bronstein,
+Mulders, ISSAC 1999).  Below CRT_MIN_DIM, `det` is faster.  `is_singular`
+trusts a nonzero det mod PRIME of one matrix from ONE_MOD_P_MIN_DIM rows on,
+and takes the exact `det` only on a zero residue.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from functools import cache
+from math import gcd, lcm, prod
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +44,14 @@ Vector = tuple[Fraction, ...]
 
 # the largest prime below 2**31 - 1; PRIME**2 < 2**62, so no int64 product overflows
 PRIME = 2147483629
+
+# from this size on, determinants are taken mod word-size primes: on integer
+# pencils det(t*P + Q), the numpy route measured faster than Bareiss from 11
+# (reciprocal) and 9 (general) rows
+CRT_MIN_DIM = 12
+# one matrix alone pays that route's per-column numpy cost: its det mod PRIME
+# measured faster than Bareiss from 22 rows on
+ONE_MOD_P_MIN_DIM = 22
 
 
 def vec(entries) -> Vector:
@@ -281,44 +298,167 @@ def rank(m: RatMatrix | Sequence[Sequence[int]]) -> int:
     return len(_eliminate(ints, 0, operator.floordiv)[0])
 
 
-def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
-    """Rank over GF(PRIME) of every matrix in an int64 stack of shape (S, r, n),
-    in one elimination: at each column, each matrix swaps its first unused row
-    with a nonzero entry there into place as pivot, and every row below becomes
-    pivot * row - entry * pivot row.  Each rank is at most the rank k over Q of
-    its matrix, and below k only when PRIME divides every k x k minor."""
-    a = np.remainder(stack, PRIME)
-    s, r, n = a.shape
-    rows = np.arange(r)
-    every = np.arange(s)
-    ranks = np.zeros(s, dtype=np.int64)
-    for c in range(n):
+def _eliminate_mod(a: np.ndarray, ranks: np.ndarray, primes: Sequence[int]):
+    """The word-size elimination, in place on an int64 stack a of shape
+    (k * S, r, n) whose i-th run of S matrices holds residues mod primes[i];
+    ranks[m] counts the rows matrix m has used, and the caller advances it
+    after each column.  At column c, each matrix with a nonzero entry in an
+    unused row swaps the first such row p into place q = its rank as pivot,
+    and every row below becomes pivot * row - entry * pivot row.  Yields
+    (has, p, q, pivots) per column, pivot 1 where a matrix has none, and
+    None for a column where no matrix has one."""
+    rows = np.arange(a.shape[1])
+    every = np.arange(a.shape[0])
+    # one prime's run at a time keeps each column's temporaries small
+    size = a.shape[0] // len(primes)
+    for c in range(a.shape[2]):
         candidates = (a[:, :, c] != 0) & (rows >= ranks[:, None])
         has = candidates.any(axis=1)
         if not has.any():
+            yield None
             continue
         # a matrix without a pivot (argmax 0) swaps row 0 with itself, and its
         # rows below have zero entries, so the update leaves it as it is
         p = candidates.argmax(axis=1)
         q = np.where(has, ranks, 0)
         pivot_rows = a[every, p]
-        a[every, p] = a[every, q]
-        a[every, q] = pivot_rows
+        if (p != q).any():
+            a[every, p] = a[every, q]
+            a[every, q] = pivot_rows
         # update the rows from the least rank on; in a matrix of higher rank,
-        # its used rows among them have zero entries, so they are only
-        # scaled, and no later column reads them
+        # its used rows among them (the pivot row too) have zero entries, so
+        # they are only scaled, and no later column reads them
         lo = ranks.min()
         entries = np.where(rows[lo:] > ranks[:, None], a[:, lo:, c], 0)
         pivots = np.where(has, pivot_rows[:, c], 1)
-        # entries and pivots are below PRIME, so no product reaches 2**62;
+        # entries and pivots are below 2**31, so no product reaches 2**62;
         # floor division by a scalar measured 4x faster than np.remainder
-        x = a[:, lo:, c:] * pivots[:, None, None] - entries[:, :, None] * pivot_rows[:, None, c:]
-        x -= x // PRIME * PRIME
-        a[:, lo:, c:] = x
-        ranks += has
-        if (ranks == r).all():
-            break
+        for i, prime in enumerate(primes):
+            run = slice(i * size, (i + 1) * size)
+            x = a[run, lo:, c:] * pivots[run, None, None] - entries[run, :, None] * pivot_rows[run, None, c:]
+            x -= x // prime * prime
+            a[run, lo:, c:] = x
+        yield has, p, q, pivots
+
+
+def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
+    """Rank over GF(PRIME) of every matrix in an int64 stack of shape (S, r, n),
+    in one elimination (`_eliminate_mod`).  Each rank is at most the rank k
+    over Q of its matrix, and below k only when PRIME divides every k x k
+    minor."""
+    a = np.remainder(stack, PRIME)
+    s, r, n = a.shape
+    ranks = np.zeros(s, dtype=np.int64)
+    for step in _eliminate_mod(a, ranks, (PRIME,)):
+        if step is not None:
+            ranks += step[0]
+            if (ranks == r).all():
+                break
     return ranks
+
+
+def _dets_mod_primes(a: np.ndarray, primes: Sequence[int]) -> list[int]:
+    """det mod primes[i] of every matrix in an int64 stack a of shape
+    (k * S, n, n), n > 0, whose i-th run of S matrices holds residues mod
+    primes[i]; eliminated in place.  Every matrix counts as using a row per
+    column, so column c scales rows c.. by its pivot: the final diagonal is
+    the squared pivots, and the row scalings multiply the determinant by
+    prod_c pivot_c^(n-c).  So det = sign * prod_c pivot_c / S with
+    S = prod_c pivot_c^(n-1-c), the product of the running pivot products
+    over c < n-1.  A matrix without a pivot at some column is singular."""
+    s, n, _ = a.shape
+    mods = np.repeat(np.array(primes, dtype=np.int64), s // len(primes))
+    ranks = np.zeros(s, dtype=np.int64)
+    sign = np.ones(s, dtype=np.int64)
+    running = np.ones(s, dtype=np.int64)
+    scale = np.ones(s, dtype=np.int64)
+    for c, step in enumerate(_eliminate_mod(a, ranks, primes)):
+        if step is None:
+            return [0] * s
+        has, p, q, pivots = step
+        ranks += 1
+        sign[p != q] *= -1
+        running = np.where(has, running * pivots % mods, 0)
+        if c < n - 1:
+            scale = scale * running % mods
+    return [
+        g * x * pow(y, -1, m) % m if x else 0
+        for g, x, y, m in zip(sign.tolist(), running.tolist(), scale.tolist(), mods.tolist())
+    ]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin on an odd n > 7 with the bases 2, 3, 5, 7, exact below
+    3,215,031,751 (Pomerance, Selfridge, Wagstaff, Math. Comp. 35, 1980)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for base in (2, 3, 5, 7):
+        x = pow(base, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@cache
+def primes_below(k: int) -> tuple[int, ...]:
+    """The k >= 1 largest primes <= PRIME, descending; each is found once."""
+    if k == 1:
+        return (PRIME,)
+    head = primes_below(k - 1)
+    n = head[-1] - 2
+    while not _is_prime(n):
+        n -= 2
+    return head + (n,)
+
+
+def _residues(rows: Sequence[Sequence[int]], primes: Sequence[int]) -> np.ndarray:
+    """The (k, r, n) int64 residues of integer rows mod each of k primes;
+    entries from 2**63 on are reduced by Python first."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array([[[x % m for x in row] for row in rows] for m in primes], dtype=np.int64)
+    return np.stack([a % m for m in primes])
+
+
+def pencil_dets(p: Sequence[Sequence[int]], q: Sequence[Sequence[int]], nodes: int) -> list[int]:
+    """det(t*P + Q) for t = 0..nodes-1, for square integer rows P and Q of
+    size n > 0, from their residues mod word-size primes (Abbott, Bronstein,
+    Mulders, ISSAC 1999).  Row t*P_i + Q_i has squared norm
+    t^2 |P_i|^2 + 2t P_i.Q_i + |Q_i|^2, so Hadamard's inequality bounds every
+    |det| by a B from O(n) work per node.  The k largest primes <= PRIME with
+    product N > 2B take all the nodes in one elimination of a (k, nodes, n, n)
+    stack (`_dets_mod_primes`), and each det is the residue mod N, by the
+    Chinese remainder theorem, taken in (-N/2, N/2)."""
+    norms = [(sum(x * x for x in u), sum(x * y for x, y in zip(u, w)), sum(y * y for y in w)) for u, w in zip(p, q)]
+    bound2 = max(prod(t * t * a + 2 * t * b + c for a, b, c in norms) for t in range(nodes))
+    k, modulus = 1, PRIME
+    while modulus * modulus <= 4 * bound2:
+        k += 1
+        modulus *= primes_below(k)[-1]
+    primes = primes_below(k)
+    n = len(p)
+    rp, rq = _residues(p, primes), _residues(q, primes)
+    a = np.empty((k, nodes, n, n), dtype=np.int64)
+    np.multiply(rp[:, None], np.arange(nodes)[:, None, None], out=a)
+    a += rq[:, None]
+    for ai, prime in zip(a, primes):
+        ai -= ai // prime * prime
+    residues = _dets_mod_primes(a.reshape(k * nodes, n, n), primes)
+    # basis[i] is 1 mod primes[i] and 0 mod the others
+    basis = [modulus // m * pow(modulus // m, -1, m) for m in primes]
+    out = []
+    for t in range(nodes):
+        x = sum(e * r for e, r in zip(basis, residues[t::nodes])) % modulus
+        out.append(x - modulus if 2 * x > modulus else x)
+    return out
 
 
 def inverse(m: RatMatrix) -> RatMatrix:
@@ -330,6 +470,15 @@ def inverse(m: RatMatrix) -> RatMatrix:
     if list(pivots[:n]) != list(range(n)):
         raise SingularMatrix("matrix is singular")
     return RatMatrix([row[n:] for row in reduced[:n]])
+
+
+def is_singular(rows: Sequence[Sequence[int]]) -> bool:
+    """det = 0 for square integer rows.  From ONE_MOD_P_MIN_DIM rows on, a
+    nonzero det mod PRIME proves det != 0; only a zero residue takes the exact
+    `det`."""
+    if len(rows) >= ONE_MOD_P_MIN_DIM and _dets_mod_primes(_residues(rows, (PRIME,)), (PRIME,))[0]:
+        return False
+    return det(rows) == 0
 
 
 def det(m: RatMatrix | Sequence[Sequence[int]]) -> Fraction:

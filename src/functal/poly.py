@@ -8,7 +8,8 @@ The two-variable pencil polynomial det(lam*P + mu*Q) has its own subclass
 ``BivariatePoly`` with the fixed variable pair ("lam", "mu"); ``pencil_det``
 computes it exactly by interpolating the integer slice R(t) = det(t*dP + dQ)
 over Z and homogenizing, dividing by d^n once at the end.  For Q = P^T, R is
-palindromic and half the nodes suffice.
+palindromic and half the nodes suffice.  Above a measured size the node
+values come from word-size primes by CRT (`linalg.pencil_dets`).
 
 From there to the roots the coefficients stay in Z: the squarefree
 decomposition runs Yun's algorithm (SYMSAC '76) on the primitive integer
@@ -538,7 +539,11 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     t = 0..h by one rref of the integer system [t^j + t^(n-j) | R(t)] (t^j
     alone when j = n-j).  A palindromic polynomial vanishing at 0..h also
     vanishes at 1/2..1/h, and at -1 for odd n, more roots than its degree
-    allows, so that system is nonsingular.
+    allows, so that system is nonsingular.  The node values R(t) are exact
+    integers either way: from `linalg.CRT_MIN_DIM` rows on, `linalg.pencil_dets`
+    takes all of them in one batched elimination over word-size primes and
+    rebuilds them by CRT under a Hadamard bound; below it, one Bareiss
+    `linalg.det` per node is faster.
     """
     if not (p.is_square() and q.is_square() and p.rows == q.rows):
         raise ValueError("pencil_det needs equal square matrices")
@@ -549,7 +554,10 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     ip, iq = ([[x * (d // e) for x in row] for row in rows] for e, rows in (p.integer_form(), q.integer_form()))
     reciprocal = iq == [list(col) for col in zip(*ip)]
     h = n // 2 if reciprocal else n
-    r = [linalg.det([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)]).numerator for t in range(h + 1)]
+    if n >= linalg.CRT_MIN_DIM:
+        r = linalg.pencil_dets(ip, iq, h + 1)
+    else:
+        r = [linalg.det([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)]).numerator for t in range(h + 1)]
     if reciprocal:
         system = [[t**j + t ** (n - j) if 2 * j < n else t**j for j in range(h + 1)] + [y] for t, y in enumerate(r)]
         half = [row[-1].numerator for row in linalg.rref(system)[0]]

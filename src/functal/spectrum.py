@@ -38,7 +38,7 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import PRIME, RatMatrix, Vector, det, ff_det, kernel, ranks_mod_p
+from .linalg import PRIME, RatMatrix, Vector, ff_det, is_singular, kernel, ranks_mod_p
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
@@ -251,7 +251,7 @@ def find_alpha0(f: Functional, avoid: Alpha | None = None) -> Fraction:
         if avoid is not None and not avoid.is_infinite and avoid.value == cand:
             continue
         tried += 1
-        if det(pencil_at(m, cand)) != 0:
+        if not is_singular(pencil_at(m, cand)):
             return cand
         if tried > f.algebra.dim + 1:
             break
@@ -283,7 +283,7 @@ def jordan_spaces(f: Functional, alpha, alpha0=None) -> JordanFiltration:
         alpha0 = Fraction(alpha0)
         if not alpha.is_infinite and alpha.value == alpha0:
             raise ValueError("alpha0 must differ from alpha")
-        if det(pencil_at(m, alpha0)) == 0:
+        if is_singular(pencil_at(m, alpha0)):
             raise NoRegularAlpha0(f"pencil is singular at alpha0={alpha0}")
     p = pencil_at(m, alpha)
     b = pencil_at(m, alpha0)
@@ -399,7 +399,9 @@ def _pencils_mod_p(ms: np.ndarray, alpha: Alpha) -> np.ndarray:
     return (v * ms.transpose(0, 2, 1) - u * ms) % PRIME
 
 
-def find_regular(alg: Algebra, alpha, sampler: SamplerConfig = SamplerConfig()) -> tuple[Functional, Subspace]:
+def find_regular(
+    alg: Algebra, alpha, sampler: SamplerConfig = SamplerConfig(), fs: list[Functional] | None = None
+) -> tuple[Functional, Subspace]:
     """Sampled functional achieving the minimal observed dim stab(alpha), and its stab(alpha).
 
     All samples are screened at once: n - rank over GF(PRIME) of each pencil,
@@ -409,10 +411,12 @@ def find_regular(alg: Algebra, alpha, sampler: SamplerConfig = SamplerConfig()) 
     returned is exact at the witness; if its dimension differs from the
     screen, the exact stabilizers of all samples decide.  A sample is
     misjudged as non-minimal only if PRIME divides every maximal minor of its
-    pencil.
+    pencil.  A caller that has drawn the sampler's functionals passes them as
+    ``fs``.
     """
     alpha = Alpha.of(alpha)
-    fs = sample_functionals(alg, sampler)
+    if fs is None:
+        fs = sample_functionals(alg, sampler)
     dims = (alg.dim - ranks_mod_p(_pencils_mod_p(_pairings_mod_p(alg, fs), alpha))).tolist()
     best = dims.index(min(dims))
     space = stab(fs[best], alpha)
@@ -429,16 +433,18 @@ def index(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> IndexReport
     return IndexReport(space.dim, witness, sampler.samples, sampler.seed)
 
 
-def constant_spectrum_alphas(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> set[Alpha]:
+def constant_spectrum_alphas(
+    alg: Algebra, sampler: SamplerConfig = SamplerConfig(), fs: list[Functional] | None = None
+) -> set[Alpha]:
     """Exact spectral values present (stab != 0) at every nondegenerate sampled functional.
 
     The first nondegenerate sample's spectrum gives the candidates; each later
     sample keeps a candidate alpha only if det(M^T - alpha*M) = 0 (det M = 0
     at infinity).  At a nondegenerate F that is exactly stab(alpha) != 0, 0
     and infinity included; at a degenerate F every pencil is singular, so it
-    keeps every candidate, as skipping it would.
+    keeps every candidate, as skipping it would.  ``fs`` is as in `find_regular`.
     """
-    fs = iter(sample_functionals(alg, sampler))
+    fs = iter(sample_functionals(alg, sampler) if fs is None else fs)
     for f in fs:
         rep = spectrum(f)
         if not rep.degenerate:
@@ -450,7 +456,7 @@ def constant_spectrum_alphas(alg: Algebra, sampler: SamplerConfig = SamplerConfi
         if not common:
             break
         m = gram(f)
-        common = {a for a in common if det(pencil_at(m, a)) == 0}
+        common = {a for a in common if is_singular(pencil_at(m, a))}
     return common
 
 
@@ -484,7 +490,9 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
     must satisfy x y = alpha y x for x in stab(alpha), y in stab(1/alpha).
     """
     checks: list[CheckResult] = []
-    _, s1 = find_regular(alg, Alpha(1), sampler)
+    # one draw serves every call, so each functional's pairing matrix is built once
+    fs = sample_functionals(alg, sampler)
+    _, s1 = find_regular(alg, Alpha(1), sampler, fs)
     commutative = True
     detail = ""
     for i, x in enumerate(s1.basis):
@@ -497,7 +505,7 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
             break
     checks.append(CheckResult("stab(1) commutative at 1-regular witness", commutative, detail))
 
-    f0, s0 = find_regular(alg, Alpha(0), sampler)
+    f0, s0 = find_regular(alg, Alpha(0), sampler, fs)
     s_inf = stab(f0, ALPHA_INF)
     prod = subspace_product(s0, s_inf)
     checks.append(
@@ -513,13 +521,13 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerCon
     )
     checks.append(CheckResult("nil space has trivial multiplication at 0-regular witness", nil_trivial))
 
-    constants = constant_spectrum_alphas(alg, sampler)
+    constants = constant_spectrum_alphas(alg, sampler, fs)
     applicable = sorted(
         (a for a in constants if not a.is_infinite and a.value not in (0, 1)),
         key=lambda a: a.value,
     )
     for a in applicable:
-        fa, sa = find_regular(alg, a, sampler)
+        fa, sa = find_regular(alg, a, sampler, fs)
         sb = stab(fa, a.inverse())
         ok = True
         detail = ""

@@ -196,7 +196,7 @@ def tensor_functional(tensor_alg: Algebra, f: Functional, g: Functional) -> Func
 
 
 def tensor_char_check(
-    alg_a: Algebra, f: Functional, alg_b: Algebra, g: Functional, tolerance: float = 1e-6, fg: Functional | None = None
+    alg_a: Algebra, f: Functional, alg_b: Algebra, g: Functional, tolerance: float = 1e-6, exact_ok: bool | None = None
 ) -> IdentityReport:
     """Characteristic polynomial of a tensor pair, two ways.
 
@@ -205,13 +205,12 @@ def tensor_char_check(
     matrices, so the two characteristic polynomials agree.  When the factor
     pencil of F is nonzero, a numeric factored-substitution check (as in the
     extended Cayley identity) is run on the factors as well.  A caller that
-    has built F (x) G on the tensor algebra passes it as ``fg``.
+    has made that comparison passes its outcome as ``exact_ok``.
     """
-    if fg is None:
-        fg = tensor_functional(tensor_product(alg_a, alg_b), f, g)
     mf = gram(f)
     mg = gram(g)
-    exact_ok = gram(fg) == linalg.kron(mf, mg)
+    if exact_ok is None:
+        exact_ok = gram(tensor_functional(tensor_product(alg_a, alg_b), f, g)) == linalg.kron(mf, mg)
     numeric_err = 0.0
     numeric_ok = True
     if exact_ok:

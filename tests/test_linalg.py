@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as Q
 from math import lcm
@@ -6,13 +7,18 @@ import numpy as np
 import pytest
 
 from functal.linalg import (
+    ONE_MOD_P_MIN_DIM,
     PRIME,
     RatMatrix,
+    _is_prime,
     det,
     ff_det,
     inverse,
     kernel,
+    is_singular,
     kron,
+    pencil_dets,
+    primes_below,
     rank,
     ranks_mod_p,
     rref,
@@ -419,3 +425,95 @@ def test_ranks_mod_p_of_an_empty_stack():
     # the caller's stack is left as it was
     a = np.array([[[2, 1], [4, 3]]], dtype=np.int64)
     assert ranks_mod_p(a).tolist() == [2] and a.tolist() == [[[2, 1], [4, 3]]]
+
+
+def _node_dets(p, q, nodes):
+    """det(t*P + Q) for t = 0..nodes-1 by Bareiss `det`."""
+    return [det([[t * x + y for x, y in zip(u, w)] for u, w in zip(p, q)]).numerator for t in range(nodes)]
+
+
+def _pencil_cases(rng):
+    """(name, P, Q, nodes) for n = 1..30 across CRT_MIN_DIM: general and
+    reciprocal pencils, singular nodes, zero rows, negative entries and
+    entries past 2**62 and 2**63."""
+    for n in range(1, 31):
+        p = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        q = [[rng.randint(-20, 20) for _ in range(n)] for _ in range(n)]
+        yield f"general {n}", p, q, n + 1
+        yield f"reciprocal {n}", p, [list(col) for col in zip(*p)], n // 2 + 1
+        if n % 3 == 0:
+            # t*P + Q is singular at t = 2 and, with a zero row, at every node
+            s = [row[:] for row in p]
+            s[-1] = [x + y for x, y in zip(s[0], s[n // 2])] if n > 1 else [0]
+            yield f"singular at 2 {n}", p, [[y - 2 * x for x, y in zip(u, w)] for u, w in zip(p, s)], n + 1
+            zero = [row[:] for row in q]
+            zero[n // 2] = [0] * n
+            yield f"zero row {n}", [row[:] for row in zero], zero, n + 1
+        if n in (2, 13, 17):
+            for e in (62, 63, 80):
+                big = [[rng.choice((-1, 1)) * rng.randint(2**e - 2**20, 2**e) for _ in range(n)] for _ in range(n)]
+                yield f"2**{e} {n}", big, [list(col) for col in zip(*big)], n // 2 + 1
+            yield f"2**80 general {n}", big, q, n + 1
+
+
+def test_pencil_dets_match_bareiss_across_the_cut_over():
+    signs = set()
+    for name, p, q, nodes in _pencil_cases(random.Random(21)):
+        want = _node_dets(p, q, nodes)
+        assert pencil_dets(p, q, nodes) == want, name
+        signs |= {(x > 0) - (x < 0) for x in want}
+    assert signs == {-1, 0, 1}
+
+
+def _sylvester(k):
+    h = [[1]]
+    for _ in range(k):
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+def test_pencil_dets_at_the_hadamard_bound():
+    # s*H for a Sylvester-Hadamard H of order 16 meets Hadamard's bound, so the
+    # largest node value needs every prime the bound asks for
+    n, s = 16, 3**5
+    p = [[s * x for x in row] for row in _sylvester(4)]
+    nodes = n // 2 + 1
+    top = ((nodes * s) ** 2 * n) ** (n // 2)
+    k = 1
+    while math.prod(primes_below(k)) <= 2 * top:
+        k += 1
+    assert k > 2 and math.prod(primes_below(k - 1)) < top
+    want = _node_dets(p, p, nodes)
+    assert max(map(abs, want)) == top
+    assert pencil_dets(p, p, nodes) == want
+    # a general pencil (t - 4) * s * H' for H' the column-reversed H, singular at t = 4
+    p = [row[::-1] for row in p]
+    q = [[-4 * x for x in row] for row in p]
+    want = _node_dets(p, q, n + 1)
+    assert want[4] == 0 and pencil_dets(p, q, n + 1) == want
+
+
+def test_primes_below_are_the_largest_primes_up_to_prime():
+    sympy = pytest.importorskip("sympy")
+    primes = primes_below(40)
+    assert primes[0] == PRIME == sympy.prevprime(2**31 - 1)
+    assert all(sympy.isprime(x) for x in primes)
+    assert all(sympy.prevprime(x) == y for x, y in zip(primes, primes[1:]))
+    assert primes_below(3) == primes[:3]
+    rng = random.Random(22)
+    for x in [rng.randrange(9, 2**31, 2) for _ in range(3000)] + [25326001, 3215031751 - 2, 1093**2, 2047]:
+        assert _is_prime(x) == sympy.isprime(x), x
+
+
+def test_is_singular_across_the_cut_over():
+    rng = random.Random(23)
+    for n in range(1, ONE_MOD_P_MIN_DIM + 6):
+        m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        sing = [row[:] for row in m]
+        sing[-1] = [2 * x - y for x, y in zip(sing[0], sing[(n - 1) // 2])] if n > 1 else [0]
+        assert is_singular(m) == (det(m) == 0) and is_singular(sing)
+    # det = PRIME: a zero residue goes to the exact det
+    n = ONE_MOD_P_MIN_DIM
+    diag = [[PRIME if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+    assert not is_singular(diag)
+    assert is_singular([[x * 2**70 for x in row] for row in diag[:-1]] + [[0] * n])

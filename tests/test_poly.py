@@ -359,6 +359,44 @@ def test_pencil_det_matches_sympy_at_small_and_large_n():
                 assert got.is_zero(), n
 
 
+def test_pencil_det_above_the_cut_over_matches_sympy():
+    """Rational general and reciprocal pencils from linalg.CRT_MIN_DIM rows on,
+    where the nodes come from word-size primes: a singular M, and entries
+    whose integer form passes 2**63."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    ring = sympy.QQ[sympy.symbols("lam mu")]
+    lam, mu = ring.gens
+    r = lambda x: sympy.QQ(x.numerator, x.denominator)
+    rng = random.Random(15)
+    n = linalg.CRT_MIN_DIM
+
+    def rand(dens, size=n):
+        return [[Q(rng.randint(-9, 9), rng.choice(dens)) for _ in range(size)] for _ in range(size)]
+
+    def transpose(m):
+        return [list(col) for col in zip(*m)]
+
+    sing = rand((1, 2, 3, 7))
+    sing[-1] = [2 * x - y for x, y in zip(sing[0], sing[1])]
+    huge = rand((1, 2**40 + 15, 2**41 + 21))
+    m13 = rand((1, 5, 11), n + 1)
+    cases = {
+        "general": (rand((1, 2, 3, 7)), rand((1, 5, 11, 13))),
+        "reciprocal": (m13, transpose(m13)),
+        "singular reciprocal": (sing, transpose(sing)),
+        "past 2**63": (huge, rand((1, 3))),
+    }
+    assert max(abs(x) for row in RatMatrix(huge).integer_form()[1] for x in row) >= 2**63
+    for name, (a, c) in cases.items():
+        size = len(a)
+        pencil = DomainMatrix([[lam * r(x) + mu * r(y) for x, y in zip(u, w)] for u, w in zip(a, c)], (size, size), ring)
+        want = pencil.det()
+        got = pencil_det(RatMatrix(a), RatMatrix(c))
+        assert got.terms == {e: Q(int(v.numerator), int(v.denominator)) for e, v in want.terms()}, name
+
+
 def test_reciprocal_pencil_det_matches_symbolic_bareiss_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
