@@ -325,19 +325,21 @@ def _eliminate_mod(a: np.ndarray, ranks: np.ndarray, primes: Sequence[int]):
         if (p != q).any():
             a[every, p] = a[every, q]
             a[every, q] = pivot_rows
-        # update the rows from the least rank on; in a matrix of higher rank,
-        # its used rows among them (the pivot row too) have zero entries, so
-        # they are only scaled, and no later column reads them
-        lo = ranks.min()
+        # update the columns after c, which no later column reads, in the rows
+        # below the least rank lo; row lo is each matrix's pivot row, a used
+        # row, or an unused one with a zero entry, and in a matrix of higher
+        # rank the used rows below lo have zero entries, so they are only
+        # scaled, and no later column reads them
+        lo = ranks.min() + 1
         entries = np.where(rows[lo:] > ranks[:, None], a[:, lo:, c], 0)
         pivots = np.where(has, pivot_rows[:, c], 1)
         # entries and pivots are below 2**31, so no product reaches 2**62;
         # floor division by a scalar measured 4x faster than np.remainder
         for i, prime in enumerate(primes):
             run = slice(i * size, (i + 1) * size)
-            x = a[run, lo:, c:] * pivots[run, None, None] - entries[run, :, None] * pivot_rows[run, None, c:]
+            x = a[run, lo:, c + 1 :] * pivots[run, None, None] - entries[run, :, None] * pivot_rows[run, None, c + 1 :]
             x -= x // prime * prime
-            a[run, lo:, c:] = x
+            a[run, lo:, c + 1 :] = x
         yield has, p, q, pivots
 
 
@@ -361,11 +363,11 @@ def _dets_mod_primes(a: np.ndarray, primes: Sequence[int]) -> list[int]:
     """det mod primes[i] of every matrix in an int64 stack a of shape
     (k * S, n, n), n > 0, whose i-th run of S matrices holds residues mod
     primes[i]; eliminated in place.  Every matrix counts as using a row per
-    column, so column c scales rows c.. by its pivot: the final diagonal is
-    the squared pivots, and the row scalings multiply the determinant by
-    prod_c pivot_c^(n-c).  So det = sign * prod_c pivot_c / S with
+    column, so column c scales rows c+1.. by its pivot: the final diagonal is
+    the pivots, and the row scalings multiply the determinant by
     S = prod_c pivot_c^(n-1-c), the product of the running pivot products
-    over c < n-1.  A matrix without a pivot at some column is singular."""
+    over c < n-1.  So det = sign * prod_c pivot_c / S.  A matrix without a
+    pivot at some column is singular."""
     s, n, _ = a.shape
     mods = np.repeat(np.array(primes, dtype=np.int64), s // len(primes))
     ranks = np.zeros(s, dtype=np.int64)
