@@ -2,10 +2,8 @@
 
 from .algebra import (
     Algebra,
-    AlgebraElement,
     direct_sum,
     mat,
-    multiply,
     nilpotent_pair,
     opposite,
     parse_algebra,

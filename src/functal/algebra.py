@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlgebraMismatch, AlgebraParseError, AssociativityViolation
-from .linalg import PRIME, Vector, vec, vec_add, vec_is_zero, vec_scale
-from .scalars import rat, rat_str
+from .errors import AlgebraParseError, AssociativityViolation
+from .linalg import PRIME, Vector, vec
+from .scalars import input_rat, rat, rat_str
 
 # ascending nonzero (k, c) pairs of one product e_i * e_j
 Cell = tuple[tuple[int, Fraction], ...]
@@ -142,40 +142,6 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, labels={list(self.labels)})"
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    algebra: Algebra
-    coords: Vector
-
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
-            raise ValueError("coordinate length does not match algebra dimension")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.algebra != other.algebra:
-            raise AlgebraMismatch("elements of different algebras")
-        return AlgebraElement(self.algebra, vec_add(self.coords, other.coords))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return multiply(self, other)
-        return AlgebraElement(self.algebra, vec_scale(rat(other), self.coords))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, vec_scale(Fraction(-1), self.coords))
-
-    def is_zero(self) -> bool:
-        return vec_is_zero(self.coords)
-
-
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    if a.algebra != b.algebra:
-        raise AlgebraMismatch("product of elements from different algebras")
-    return AlgebraElement(a.algebra, a.algebra.product_coords(a.coords, b.coords))
 
 
 @dataclass(frozen=True)
@@ -311,26 +277,32 @@ def seaweed(top: Sequence[int], bottom: Sequence[int]) -> Algebra:
     return _matrix_unit_algebra(positions, n)
 
 
+def _w_coords(x) -> Vector:
+    """One entry of a coefficient tensor: a W-coordinate vector, or a scalar when dim W = 1."""
+    if isinstance(x, (list, tuple)):
+        return tuple(input_rat(c, "a W-coordinate") for c in x)
+    return (input_rat(x, "a coefficient"),)
+
+
 def nilpotent_pair(b_tensor) -> Algebra:
     """Algebra on V (+) W with V*V landing in W via the coefficient tensor.
 
     ``b_tensor`` is a k x k array whose entries are either scalars (then
-    dim W = 1) or equal-length coordinate vectors in W.  Every product of
-    three elements vanishes, so the result is associative for any input.
+    dim W = 1) or equal-length coordinate vectors in W; any other shape or
+    entry raises ValueError, as the array may come from a file.  Every
+    product of three elements vanishes, so the result is associative for any
+    input.
     """
+    square = isinstance(b_tensor, (list, tuple)) and all(
+        isinstance(row, (list, tuple)) and len(row) == len(b_tensor) for row in b_tensor
+    )
+    if not square:
+        raise ValueError(f"the coefficient tensor must be a square array, not {b_tensor!r}")
     k = len(b_tensor)
-    if any(len(row) != k for row in b_tensor):
-        raise ValueError("coefficient tensor must be square")
-    first = b_tensor[0][0] if k else 0
-    scalar_entries = isinstance(first, (int, str, Fraction))
-    if scalar_entries:
-        m = 1
-        cells = [[(rat(x),) for x in row] for row in b_tensor]
-    else:
-        m = len(first)
-        cells = [[vec(x) for x in row] for row in b_tensor]
-        if any(len(c) != m for row in cells for c in row):
-            raise ValueError("ragged W-coordinate vectors")
+    cells = [[_w_coords(x) for x in row] for row in b_tensor]
+    m = len(cells[0][0]) if k else 1
+    if any(len(c) != m for row in cells for c in row):
+        raise ValueError("ragged W-coordinate vectors")
     dim = k + m
     labels = [f"v{i + 1}" for i in range(k)] + (
         ["w"] if m == 1 else [f"w{i + 1}" for i in range(m)]
@@ -442,21 +414,21 @@ def read_algebra(text: str) -> Algebra:
             raise AlgebraParseError(f"missing field {key!r}")
     n = doc["dim"]
     labels = doc["basis"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise AlgebraParseError("dim must be a positive integer")
-    if len(labels) != n:
-        raise AlgebraParseError(f"basis has {len(labels)} labels, expected {n}")
+    if not isinstance(labels, list) or len(labels) != n:
+        raise AlgebraParseError(f"basis must be an array of {n} labels")
     table = doc["table"]
+    if not isinstance(table, list):
+        raise AlgebraParseError(f"table must be an array of {n} rows, not {table!r}")
     if len(table) != n:
         raise AlgebraParseError(f"table has {len(table)} rows, expected {n}")
     for i, row in enumerate(table):
-        if len(row) != n:
-            raise AlgebraParseError(f"table row {i} ({labels[i]!r}) has {len(row)} cells, expected {n}")
+        if not isinstance(row, list) or len(row) != n:
+            raise AlgebraParseError(f"table row {i} ({labels[i]!r}) must be an array of {n} cells")
         for j, cell in enumerate(row):
-            if len(cell) != n:
-                raise AlgebraParseError(
-                    f"table entry ({i},{j}) has {len(cell)} coordinates, expected {n}"
-                )
+            if not isinstance(cell, list) or len(cell) != n:
+                raise AlgebraParseError(f"table entry ({i},{j}) must be an array of {n} coordinates")
     try:
         alg = Algebra(labels, [[sparse(cell) for cell in row] for row in table], doc.get("unity"))
     except (ValueError, TypeError) as e:

@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import random
-from fractions import Fraction
 from pathlib import Path
 
 from . import algebra as ac
@@ -35,7 +34,7 @@ from .functional import Alpha, Functional, stab, trace_functional
 from .gallery import write_gallery
 from .linalg import RatMatrix
 from .report import to_json
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, random_functional
 from .scalars import rat, rat_str
 from .spectrum import (
     char_poly,
@@ -78,10 +77,9 @@ def load_algebra(spec: str) -> Algebra:
     return parse_algebra(Path(spec).read_text())
 
 
-def load_functional(alg: Algebra, spec: str, seed: int, bound: int = 20) -> Functional:
+def load_functional(alg: Algebra, spec: str, seed: int) -> Functional:
     if spec == "random":
-        rng = random.Random(seed)
-        return Functional(alg, tuple(Fraction(rng.randint(-bound, bound)) for _ in range(alg.dim)))
+        return random_functional(alg, random.Random(seed))
     if spec.startswith("diag:"):
         entries = [rat(x) for x in spec[len("diag:") :].split(",")]
         n = len(entries)
@@ -143,7 +141,7 @@ def _common_flags(suppress: bool) -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, action=_Given, default=d if suppress else 8, help="sample count for generic searches")
     p.add_argument("--format", choices=("text", "json"), default=d if suppress else "text")
     p.add_argument("--tol", type=float, action=_Given, default=d if suppress else 1e-6, help="numeric tolerance")
-    p.add_argument("--workers", type=int, default=d if suppress else 1, help="parallel workers for sampling")
+    p.add_argument("--workers", type=int, default=d if suppress else 1, help="no effect: analyses run in one process")
     p.add_argument("--output", default=d if suppress else None, help="write primary output to this path")
     return p
 
@@ -241,7 +239,9 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    sampler = SamplerConfig(seed=args.seed, samples=args.samples, workers=args.workers)
+    sampler = SamplerConfig(seed=args.seed, samples=args.samples)
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     if not 0 < args.tol < math.inf:
         raise ValueError(f"--tol must be a positive number, got {args.tol}")
 

@@ -23,7 +23,7 @@ from . import algebra as alg_mod
 from .algebra import Algebra
 from .errors import AlgebraMismatch, NotMatrixAlgebra
 from .linalg import RatMatrix, Vector, kernel, rank, rref, vec, vec_dot, vec_is_zero
-from .scalars import rat, rat_str
+from .scalars import input_rat, rat, rat_str
 
 
 class Alpha:
@@ -103,17 +103,15 @@ class Functional:
 
     @classmethod
     def from_dict(cls, algebra: Algebra, values: Mapping[str, object]) -> "Functional":
+        if not isinstance(values, Mapping):
+            raise ValueError(f"a functional is an object of label: value pairs, not {values!r}")
         unknown = set(values) - set(algebra.labels)
         if unknown:
             raise ValueError(f"unknown basis labels: {sorted(unknown)}")
-        for l, x in values.items():
-            if isinstance(x, bool) or not isinstance(x, (int, str, Fraction)):
-                raise ValueError(f"value of {l} must be an integer or a rational string, not {x!r}")
-        return cls(algebra, tuple(rat(values.get(l, 0)) for l in algebra.labels))
+        return cls(algebra, tuple(input_rat(values.get(l, 0), f"value of {l}") for l in algebra.labels))
 
     def __call__(self, x) -> Fraction:
-        coords = x.coords if isinstance(x, alg_mod.AlgebraElement) else vec(x)
-        return vec_dot(self.coords, coords)
+        return vec_dot(self.coords, vec(x))
 
     def __add__(self, other: "Functional") -> "Functional":
         if self.algebra != other.algebra:

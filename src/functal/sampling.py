@@ -2,13 +2,15 @@
 
 Generic statements about functionals hold on Zariski-open sets, so witnesses
 are found by sampling integer coordinate vectors; every report records the
-seed and sample count that produced it.
+seed and sample count that produced it.  Every sampled functional, and the
+CLI's "random" one, is drawn by `random_functional`: coordinates uniform in
+[-20, 20], one `randint` per basis element, so a seed gives the same stream
+wherever it is drawn.  Analyses run in this one process.
 """
 
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,29 +22,18 @@ from .functional import Functional
 class SamplerConfig:
     seed: int = 0
     samples: int = 8
-    coeff_bound: int = 20
-    workers: int = 1
 
     def __post_init__(self):
-        for flag, n in (("--samples", self.samples), ("--workers", self.workers)):
-            if n < 1:
-                raise ValueError(f"{flag} must be at least 1, got {n}")
+        if self.samples < 1:
+            raise ValueError(f"--samples must be at least 1, got {self.samples}")
+
+
+def random_functional(alg: Algebra, rng: random.Random) -> Functional:
+    """The next functional of ``rng``'s stream, with integer coordinates in [-20, 20]."""
+    return Functional(alg, tuple(Fraction(rng.randint(-20, 20)) for _ in range(alg.dim)))
 
 
 def sample_functionals(alg: Algebra, cfg: SamplerConfig) -> list[Functional]:
-    """Deterministic list of functionals with integer coordinates in [-bound, bound]."""
+    """The first ``cfg.samples`` functionals of the stream seeded by ``cfg.seed``."""
     rng = random.Random(cfg.seed)
-    out = []
-    for _ in range(cfg.samples):
-        coords = tuple(Fraction(rng.randint(-cfg.coeff_bound, cfg.coeff_bound)) for _ in range(alg.dim))
-        out.append(Functional(alg, coords))
-    return out
-
-
-def pmap(fn, items, workers: int = 1) -> list:
-    """Map preserving order; uses a process pool when workers > 1."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    return [random_functional(alg, rng) for _ in range(cfg.samples)]

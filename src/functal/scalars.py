@@ -13,7 +13,8 @@ Rational = Fraction
 
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like '-3/2', and Fractions to a reduced Fraction."""
+    """Coerce ints, strings like '-3/2', and Fractions to a reduced Fraction; a
+    bool is not taken for 0 or 1."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, str):
@@ -21,9 +22,17 @@ def rat(x) -> Fraction:
             return Fraction(x)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"cannot coerce {x!r} to a rational")
+
+
+def input_rat(x, what: str) -> Fraction:
+    """`rat` of a value read from outside the program; a value it refuses raises ValueError naming ``what``."""
+    try:
+        return rat(x)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer or a rational string, not {x!r}") from None
 
 
 def rat_str(x: Fraction) -> str:

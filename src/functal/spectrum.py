@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import PRIME, RatMatrix, Vector, ff_det, is_singular, kernel, ranks_mod_p
+from .linalg import PRIME, Vector, ff_det, is_singular, kernel, rank, ranks_mod_p
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
@@ -46,7 +46,7 @@ from .poly import (
     pencil_det,
     uni_roots,
 )
-from .sampling import SamplerConfig, pmap, sample_functionals
+from .sampling import SamplerConfig, sample_functionals
 from .scalars import ComplexApprox
 
 SYMBOLIC_DIM_ENVELOPE = 9
@@ -57,35 +57,27 @@ SYMBOLIC_DIM_ENVELOPE = 9
 # ---------------------------------------------------------------------------
 
 
-def _pencil_matrix(f: Functional, v: Subspace | None) -> RatMatrix:
-    m = gram(f)
-    if v is not None:
-        m = restrict_form(m, v, v)
-    return m
-
-
 def char_poly_raw(f: Functional, v: Subspace | None = None) -> BivariatePoly:
-    """Exact det(lam*M + mu*M^T), not normalized."""
-    m = _pencil_matrix(f, v)
+    """Exact det(lam*M + mu*M^T), not normalized; M is restricted to v when given."""
+    m = gram(f) if v is None else restrict_form(gram(f), v, v)
     return pencil_det(m, m.transpose())
 
 
-def char_poly(f: Functional, v: Subspace | None = None) -> BivariatePoly:
+def char_poly(f: Functional) -> BivariatePoly:
     """Characteristic polynomial in canonical normalization (leading coeff 1)."""
-    return char_poly_raw(f, v).canonical()
+    return char_poly_raw(f).canonical()
 
 
-def char_poly_symbolic(alg: Algebra, v: Subspace | None = None) -> MultivariatePoly:
+def char_poly_symbolic(alg: Algebra) -> MultivariatePoly:
     """chi as a polynomial in lam, mu and one variable per basis label.
 
     The determinant is expanded symbolically, which is only sensible for
-    small subspaces; dimensions above the envelope raise EnvelopeExceeded
+    small algebras; dimensions above the envelope raise EnvelopeExceeded
     and callers should fall back to pointwise identity testing.
     """
-    dim_v = v.dim if v is not None else alg.dim
-    if dim_v > SYMBOLIC_DIM_ENVELOPE:
+    if alg.dim > SYMBOLIC_DIM_ENVELOPE:
         raise EnvelopeExceeded(
-            f"symbolic determinant envelope is dim <= {SYMBOLIC_DIM_ENVELOPE}, got {dim_v}"
+            f"symbolic determinant envelope is dim <= {SYMBOLIC_DIM_ENVELOPE}, got {alg.dim}"
         )
     variables = ("lam", "mu") + alg.labels
     n = alg.dim
@@ -99,25 +91,9 @@ def char_poly_symbolic(alg: Algebra, v: Subspace | None = None) -> MultivariateP
         return make_poly(variables, terms)
 
     sym = [[cell_poly(alg.table[i][j]) for j in range(n)] for i in range(n)]
-    if v is not None:
-        rows = v.basis
-        sym = [
-            [
-                sum(
-                    (sym[i][j] * (u[i] * w[j]) for i in range(n) for j in range(n) if u[i] * w[j] != 0),
-                    make_poly(variables, {}),
-                )
-                for w in rows
-            ]
-            for u in rows
-        ]
     lam = MultivariatePoly.variable(variables, "lam")
     mu = MultivariatePoly.variable(variables, "mu")
-    size = len(sym)
-    pencil = [[lam * sym[i][j] + mu * sym[j][i] for j in range(size)] for i in range(size)]
-    if size == 0:
-        return MultivariatePoly.constant(variables, 1)
-    return ff_det(pencil)
+    return ff_det([[lam * sym[i][j] + mu * sym[j][i] for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -151,27 +127,26 @@ class SpectrumReport:
         return [e.alpha for e in self.all_entries() if isinstance(e.alpha, Alpha)]
 
 
-def _numeric_kernel_dim(fm: np.ndarray, alpha: complex, tol: float = 1e-8) -> int:
+def _numeric_kernel_dim(fm: np.ndarray, alpha: complex) -> int:
     """Numerical dim ker(M^T - alpha*M) for M given as a complex array ``fm``:
-    the singular values below tol times max(1, the largest)."""
+    the singular values below 1e-8 times max(1, the largest)."""
     s = np.linalg.svd(fm.T - alpha * fm, compute_uv=False)
-    if s.size == 0:
-        return 0
-    cutoff = tol * max(1.0, float(s[0]))
+    cutoff = 1e-8 * max(1.0, float(s[0]))
     return int(np.sum(s < cutoff))
 
 
-def spectrum(f: Functional, v: Subspace | None = None) -> SpectrumReport:
+def spectrum(f: Functional) -> SpectrumReport:
     """Roots of the pencil polynomial with multiplicities and stabilizer dims.
 
-    Rational roots are handled exactly; non-rational roots get approximate
-    stabilizer dimensions from a float SVD and are flagged by carrying a
-    ComplexApprox alpha.  A vanishing chi yields a degenerate report.
+    Rational roots are handled exactly, each stabilizer dimension as n minus
+    an exact rank; non-rational roots get approximate stabilizer dimensions
+    from a float SVD and are flagged by carrying a ComplexApprox alpha.  A
+    vanishing chi yields a degenerate report.
     """
-    n = v.dim if v is not None else f.algebra.dim
-    gm = _pencil_matrix(f, v)
-    dim0 = len(kernel(pencil_at(gm, Alpha(0))))
-    dim_inf = len(kernel(pencil_at(gm, ALPHA_INF)))
+    n = f.algebra.dim
+    gm = gram(f)
+    dim0 = n - rank(pencil_at(gm, Alpha(0)))
+    dim_inf = n - rank(pencil_at(gm, ALPHA_INF))
     chi = pencil_det(gm, gm.transpose())
     if chi.is_zero():
         zero_e = SpectrumEntry(Alpha(0), 0, dim0, False)
@@ -186,7 +161,7 @@ def spectrum(f: Functional, v: Subspace | None = None) -> SpectrumReport:
     if core.degree > 0:
         for root, mult in uni_roots(core):
             if isinstance(root, Fraction):
-                d = len(kernel(pencil_at(gm, root)))
+                d = n - rank(pencil_at(gm, root))
                 entries.append(SpectrumEntry(Alpha(root), mult, d, d == mult))
             else:
                 if fm is None:
@@ -332,21 +307,15 @@ def classify(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> Classifi
     sampled chi is nonzero; otherwise the nil space of a minimal witness is
     completed to a complement V and the verdict is Type2 exactly when some
     sampled chi restricted to V is nonzero.  Nil dimensions, of ker [M ; M^T],
-    are screened in one stack as in `find_regular`, with the same guarantees
-    for ``min_nil_dim``; a screened minimum of 0 is exact already.  Exact
+    are screened in one stack and confirmed as in `find_regular`.  Exact
     pairing matrices are built only for the witness's nil space and for the
     chi tests.
     """
     fs = sample_functionals(alg, sampler)
     ms = _pairings_mod_p(alg, fs)
-    nil_dims = (alg.dim - ranks_mod_p(np.concatenate([ms, ms.transpose(0, 2, 1)], axis=1))).tolist()
-    witness = fs[nil_dims.index(min(nil_dims))]
-    witness_nil = nil(witness) if min(nil_dims) else None
-    if witness_nil is not None and witness_nil.dim != min(nil_dims):
-        nil_dims = [nil(f).dim for f in fs]
-        witness = fs[nil_dims.index(min(nil_dims))]
-        witness_nil = nil(witness)
-    min_nil = min(nil_dims)
+    screened = (alg.dim - ranks_mod_p(np.concatenate([ms, ms.transpose(0, 2, 1)], axis=1))).tolist()
+    witness, witness_nil = _least_exact(fs, screened, nil)
+    min_nil = witness_nil.dim
     if min_nil == 0:
         for f in fs:
             if not char_poly_raw(f).is_zero():
@@ -366,11 +335,6 @@ class IndexReport:
     witness: Functional
     samples_used: int
     seed: int
-
-
-def _stab_at(args) -> Subspace:
-    f, alpha = args
-    return stab(f, alpha)
 
 
 def _pairings_mod_p(alg: Algebra, fs: list[Functional]) -> np.ndarray:
@@ -407,21 +371,32 @@ def find_regular(
     All samples are screened at once: n - rank over GF(PRIME) of each pencil,
     at least dim stab(alpha), from one stack of pencils built from the
     structure table and the samples' integer coordinates, with no exact
-    pairing matrix (`_pairings_mod_p`, `ranks_mod_p`).  The stabilizer
-    returned is exact at the witness; if its dimension differs from the
-    screen, the exact stabilizers of all samples decide.  A sample is
-    misjudged as non-minimal only if PRIME divides every maximal minor of its
-    pencil.  A caller that has drawn the sampler's functionals passes them as
-    ``fs``.
+    pairing matrix (`_pairings_mod_p`, `ranks_mod_p`); `_least_exact`
+    confirms the screened minimum.  A sample is misjudged as non-minimal only
+    if PRIME divides every maximal minor of its pencil.  A caller that has
+    drawn the sampler's functionals passes them as ``fs``.
     """
     alpha = Alpha.of(alpha)
     if fs is None:
         fs = sample_functionals(alg, sampler)
-    dims = (alg.dim - ranks_mod_p(_pencils_mod_p(_pairings_mod_p(alg, fs), alpha))).tolist()
-    best = dims.index(min(dims))
-    space = stab(fs[best], alpha)
-    if space.dim != dims[best]:
-        spaces = pmap(_stab_at, [(f, alpha) for f in fs], sampler.workers)
+    screened = (alg.dim - ranks_mod_p(_pencils_mod_p(_pairings_mod_p(alg, fs), alpha))).tolist()
+    return _least_exact(fs, screened, lambda f: stab(f, alpha))
+
+
+def _least_exact(
+    fs: list[Functional], screened: list[int], exact: Callable[[Functional], Subspace]
+) -> tuple[Functional, Subspace]:
+    """The first sample of least screened dimension and its exact space, or, if
+    the exact dimension there differs, the first sample of least exact
+    dimension and its space.  Screened dimensions are never below the exact
+    ones, so a screened 0 is exact already and needs no exact call."""
+    low = min(screened)
+    best = screened.index(low)
+    if low == 0:
+        return fs[best], Subspace.zero(fs[best].algebra)
+    space = exact(fs[best])
+    if space.dim != low:
+        spaces = [exact(f) for f in fs]
         best = min(range(len(fs)), key=lambda i: spaces[i].dim)
         space = spaces[best]
     return fs[best], space

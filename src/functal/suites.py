@@ -33,7 +33,7 @@ from .functional import (
 )
 from .gallery import gallery_algebras
 from .linalg import RatMatrix, det, inverse, kron
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, random_functional
 from .spectrum import (
     CheckResult,
     SpectrumReport,
@@ -131,8 +131,7 @@ def stab_props_suite(seed: int = 0) -> SuiteReport:
     rng = random.Random(seed + 1)
     for name in ("mat2", "ut3", "seaweed_21_12"):
         alg = algs[name]
-        f = Functional(alg, tuple(Fraction(rng.randint(-20, 20)) for _ in range(alg.dim)))
-        g = Functional(alg, tuple(Fraction(rng.randint(-20, 20)) for _ in range(alg.dim)))
+        f, g = random_functional(alg, rng), random_functional(alg, rng)
         _check(checks, f"{name}: gram(F+G) = gram(F)+gram(G)", gram(f + g) == gram(f) + gram(g))
 
     # rank-1 <-> multiplicative on commutative unital examples
@@ -290,8 +289,7 @@ def tensor_chi_suite(seed: int = 0) -> SuiteReport:
         a, b = algs[na], algs[nb]
         if a.dim * b.dim > 36:
             continue
-        f = Functional(a, tuple(Fraction(rng.randint(-20, 20)) for _ in range(a.dim)))
-        g = Functional(b, tuple(Fraction(rng.randint(-20, 20)) for _ in range(b.dim)))
+        f, g = random_functional(a, rng), random_functional(b, rng)
         ta = ac.tensor_product(a, b)
         fg = tensor_functional(ta, f, g)
         same = gram(fg) == kron(gram(f), gram(g))

@@ -147,19 +147,16 @@ def extended_cayley_check(
     )
 
 
-def random_cayley_instances(
-    count: int = 30, seed: int = 0, max_size: int = 4, entry_bound: int = 5, tolerance: float = 1e-6
-) -> IdentityReport:
-    """Seeded batch of extended-Cayley checks on random integer matrices."""
+def random_cayley_instances(count: int = 30, seed: int = 0, tolerance: float = 1e-6) -> IdentityReport:
+    """Seeded batch of extended-Cayley checks on random integer matrices of
+    size 1 to 4 with entries in [-5, 5]."""
     rng = random.Random(seed)
     worst = 0.0
     checked = 0
     while checked < count:
-        n = rng.randint(1, max_size)
-        m = rng.randint(1, max_size)
-        mk = lambda size: RatMatrix(
-            [[rng.randint(-entry_bound, entry_bound) for _ in range(size)] for _ in range(size)]
-        )
+        n = rng.randint(1, 4)
+        m = rng.randint(1, 4)
+        mk = lambda size: RatMatrix([[rng.randint(-5, 5) for _ in range(size)] for _ in range(size)])
         a, b, c, d = mk(n), mk(n), mk(m), mk(m)
         if pencil_det(a, b).is_zero():
             continue

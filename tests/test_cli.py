@@ -4,6 +4,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,7 +16,7 @@ from functal.algebra import mat, parse_algebra, serialize_algebra, ut
 from functal.functional import Alpha, stab
 from functal.gallery import INVERTIBLE_B, JORDAN_BLOCK_B, gallery_algebras
 from functal.report import to_json
-from functal.sampling import SamplerConfig
+from functal.sampling import SamplerConfig, sample_functionals
 from functal.spectrum import classify, index, jordan_spaces, regularity_corollary_suite, spectrum
 from functal.suites import run_suite
 from functal.tensor import conjecture_probe, mat_tensor_index_experiment, tensor_char_check, tensor_stab_suite
@@ -40,6 +43,12 @@ IDENTITY_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "identities_
 # answer they already had; seed 7 gives `regular-corollaries` degenerate
 # samples (the first `qq` draw and a later seaweed draw)
 SUITE_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "suites_sha256.json").read_text())
+
+
+BAD_TABLE_5 = json.dumps({"dim": 1, "basis": ["a"], "table": 5})
+BAD_ROW_5 = json.dumps({"dim": 1, "basis": ["a"], "table": [5]})
+TABLE_TRUE = json.dumps({"dim": 1, "basis": ["a"], "table": [[[True]]]})
+DIM_TRUE = json.dumps({"dim": True, "basis": ["a"], "table": [[["1"]]]})
 
 
 def run(capsys, *argv):
@@ -93,10 +102,29 @@ def assert_one_line_error(err, *words):
         (["index", "--algebra", "mat:2", "--output", "."], ["input error", "directory"]),
         (["index", "--algebra", "tensor:mat:2"], ["input error", "tensor:left;right"]),
         (["index", "--algebra", "tensor:;mat:2"], ["input error", "tensor:left;right"]),
+        # a (prefix, document) pair is written to a file and passed as prefix + its path
+        (["index", "--algebra", ("abc0:", "5")], ["input error", "coefficient tensor", "5"]),
+        (["index", "--algebra", ("abc0:", "[[null]]")], ["input error", "coefficient", "None"]),
+        (["index", "--algebra", ("abc0:", "[[true]]")], ["input error", "coefficient", "True"]),
+        (["spectrum", "--algebra", ("", BAD_TABLE_5)], ["input error", "table", "5"]),
+        (["validate", "--algebra", ("", BAD_TABLE_5)], ["input error", "table", "5"]),
+        (["spectrum", "--algebra", ("", BAD_ROW_5)], ["input error", "row 0", "array"]),
+        (["validate", "--algebra", ("", BAD_ROW_5)], ["input error", "row 0", "array"]),
+        (["validate", "--algebra", ("", TABLE_TRUE)], ["input error", "True"]),
+        (["validate", "--algebra", ("", DIM_TRUE)], ["input error", "dim"]),
+        (["spectrum", "--algebra", "mat:2", "--functional", ("", "5")], ["input error", "label: value", "5"]),
     ],
 )
-def test_bad_input_exits_2_with_one_line(capsys, argv, words):
-    code, out, err = run(capsys, *argv)
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, argv, words):
+    def materialise(i, arg):
+        if not isinstance(arg, tuple):
+            return arg
+        prefix, doc = arg
+        path = tmp_path / f"input{i}.json"
+        path.write_text(doc)
+        return prefix + str(path)
+
+    code, out, err = run(capsys, *(materialise(i, arg) for i, arg in enumerate(argv)))
     assert code == 2
     assert out == ""
     assert_one_line_error(err, *words)
@@ -174,6 +202,24 @@ def test_one_parser_per_process_reads_the_seed_on_every_call(capsys, monkeypatch
     assert "--no-such-flag" in capsys.readouterr().err
     assert run(capsys, *argv) == second
     assert cli.build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("name", sorted(gallery_algebras()))
+def test_the_random_functional_is_the_first_sample(name):
+    alg = gallery_algebras()[name]
+    for seed in range(10):
+        assert cli.load_functional(alg, "random", seed) == sample_functionals(alg, SamplerConfig(seed=seed))[0]
+
+
+def test_importing_the_cli_loads_no_process_pool_and_workers_changes_nothing(capsys):
+    probe = "import sys, functal.cli; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"
+    argv = ["index", "--algebra", "mat:3", "--format", "json"]
+    one = run(capsys, *argv, "--workers", "1")
+    assert one[0] == 0 and one[1]
+    assert run(capsys, *argv, "--workers", "4") == one
 
 
 def test_sampler_config_rejects_empty_sample_counts():

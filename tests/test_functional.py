@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from functal.algebra import Algebra, AlgebraElement, direct_sum, mat, nilpotent_pair, seaweed, tensor_product, ut
+from functal.algebra import Algebra, direct_sum, mat, nilpotent_pair, seaweed, tensor_product, ut
 from functal.errors import AlgebraMismatch, NotMatrixAlgebra, SingularMatrix
 from functal.functional import (
     ALPHA_INF,
@@ -64,8 +64,7 @@ def test_gram_mat2_values_match_direct_products():
     g = gram(f)
     for i in range(4):
         for j in range(4):
-            prod = AlgebraElement(m2, vec(m2.basis_vector(i))) * AlgebraElement(m2, vec(m2.basis_vector(j)))
-            assert g[i, j] == f(prod)
+            assert g[i, j] == f(m2.product_coords(m2.basis_vector(i), m2.basis_vector(j)))
     # substitute a=1, b=0, c=0, d=2 into the matrix-unit table by hand
     assert g == RatMatrix([[1, 0, 0, 0], [0, 0, 1, 0], [0, 2, 0, 0], [0, 0, 0, 2]])
 
@@ -390,10 +389,11 @@ def test_conjugate_functional_identity_and_inverse():
     assert conjugate(conjugate(f, g), g_inv).coords == f.coords
     # independent oracle: F(g^-1 E_ij g) by products in the algebra
     f2 = conjugate(f, g)
-    g_el, g_inv_el = (AlgebraElement(m2, vec([m[r, c] for r in range(2) for c in range(2)])) for m in (g, g_inv))
+    g_el, g_inv_el = (vec([m[r, c] for r in range(2) for c in range(2)]) for m in (g, g_inv))
+    mul = m2.product_coords
     for k in range(4):
-        e = AlgebraElement(m2, vec(m2.basis_vector(k)))
-        assert f2(e) == f(g_inv_el * e * g_el)
+        e = m2.basis_vector(k)
+        assert f2(e) == f(mul(mul(g_inv_el, e), g_el))
 
 
 def test_conjugate_functional_preserves_char_poly():

@@ -499,6 +499,42 @@ def test_samples_misjudged_mod_p_fall_back_to_the_exact_dimensions(monkeypatch, 
     assert got_type.witnesses == tuple(w.scale(PRIME) for w in want_type.witnesses)
 
 
+def counted(monkeypatch, name):
+    """The list of argument tuples of every call to spectrum's `name` from now on."""
+    calls = []
+    real = getattr(spectrum_module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(spectrum_module, name, wrapper)
+    return calls
+
+
+def test_a_screened_zero_makes_no_exact_call(monkeypatch):
+    # a generic F on mat(3) has an invertible pairing matrix: stab(0) and nil are 0
+    alg, cfg = mat(3), SamplerConfig(seed=1, samples=4)
+    fs = sample_functionals(alg, cfg)
+    stabs, nils = counted(monkeypatch, "stab"), counted(monkeypatch, "nil")
+    witness, space = find_regular(alg, Alpha(0), cfg)
+    rep = classify(alg, cfg)
+    assert stabs == [] and nils == []
+    exact = [stab(f, Alpha(0)).dim for f in fs]
+    assert (witness, space) == (fs[exact.index(min(exact))], Subspace.zero(alg))
+    assert min(exact) == 0 == rep.min_nil_dim == min(nil(f).dim for f in fs)
+
+
+def test_a_screened_minimum_above_zero_is_confirmed_by_one_exact_call(monkeypatch):
+    # every sample of ut(2) has dim stab(1) = 1 (the index) and the screen reads 1
+    alg, cfg = ut(2), SamplerConfig(seed=1, samples=4)
+    fs = sample_functionals(alg, cfg)
+    stabs = counted(monkeypatch, "stab")
+    witness, space = find_regular(alg, Alpha(1), cfg)
+    assert stabs == [(fs[0], Alpha(1))]
+    assert (witness, space) == (fs[0], stab(fs[0], Alpha(1))) and space.dim == 1
+
+
 SCREEN_ALPHAS = (Alpha(0), Alpha(1), ALPHA_INF, Alpha(2), Alpha(Q(-1, 2)))
 
 
