@@ -13,7 +13,8 @@ values come from word-size primes by CRT (`linalg.pencil_dets`).
 
 From there to the roots the coefficients stay in Z: the squarefree
 decomposition runs Yun's algorithm (SYMSAC '76) on the primitive integer
-multiple, with primitive-PRS gcds (Brown, J. ACM 18, 1971) and exact integer
+multiple, with gcds by heuristic GCD, PRS fallback (Char, Geddes and Gonnet,
+J. Symbolic Comput. 7, 1989; Brown, J. ACM 18, 1971), and exact integer
 division; rational roots are found by p-adic lifting, without integer
 factorisation, and divided out exactly over Z before the remaining factor,
 made monic, goes to a float root finder.
@@ -368,6 +369,13 @@ def _derivative(f: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
 
+def _eval(f: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
 def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     """A remainder of lc(b)^k * a modulo b, for some k >= 0."""
     r, lead, nb = list(a), b[-1], len(b)
@@ -381,8 +389,44 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
+_HEU_TRIES = 6
+
+
 def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd, leading coefficient > 0, of a nonzero a and any b, by the primitive PRS."""
+    """Primitive gcd, leading coefficient > 0, of a nonzero a and any b.
+
+    Heuristic GCD (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989):
+    with a and b primitive and xi >= 2 min(|a|, |b|) + 2 in the max norm, the
+    symmetric xi-adic digits of gcd(a(xi), b(xi)) give a candidate whose
+    primitive part is the gcd if it divides both (Geddes, Czapor and Labahn,
+    Algorithms for Computer Algebra, Thm 7.7).  Each failed check grows xi;
+    after `_HEU_TRIES` tries the primitive PRS decides (`_prs_gcd`).
+    """
+    if not b:
+        return _primitive(a)
+    a, b = _primitive(a), _primitive(b)
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_TRIES):
+        h = math.gcd(_eval(a, xi), _eval(b, xi))
+        digits = []
+        while h:
+            d = h % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        g = _primitive(digits)
+        try:
+            _quotient(a, g)
+            _quotient(b, g)
+            return g
+        except ArithmeticError:
+            xi = xi * 73794 // 27011  # GCDHEU's growth, about 1 + sqrt(3)
+    return _prs_gcd(a, b)
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """`_gcd` by the primitive PRS (Brown, J. ACM 18, 1971)."""
     if len(a) < len(b):
         a, b = b, a
     a = _primitive(a)
@@ -414,8 +458,8 @@ def squarefree_decomposition(p: UnivariatePoly) -> list[tuple[UnivariatePoly, in
     Yun's algorithm (SYMSAC '76) on the primitive integer multiple f of p:
     with a = gcd(f, f'), b = f/a and c = f'/a, each step takes
     d = c - b', a = gcd(b, d) (the product of the factors of the next
-    multiplicity), then b = b/a and c = d/a.  The gcds are primitive PRS
-    (Brown, J. ACM 18, 1971), and by Gauss's lemma every division by a
+    multiplicity), then b = b/a and c = d/a.  The gcds are by heuristic GCD,
+    PRS fallback (`_gcd`), and by Gauss's lemma every division by a
     primitive divisor is exact over the integers.  Multiplicities ascend.
     """
     if p.is_zero():

@@ -138,36 +138,41 @@ def _numeric_kernel_dim(fm: np.ndarray, alpha: complex) -> int:
 def spectrum(f: Functional) -> SpectrumReport:
     """Roots of the pencil polynomial with multiplicities and stabilizer dims.
 
-    Rational roots are handled exactly, each stabilizer dimension as n minus
-    an exact rank; non-rational roots get approximate stabilizer dimensions
-    from a float SVD and are flagged by carrying a ComplexApprox alpha.  A
-    vanishing chi yields a degenerate report.
+    At a nonvanishing chi the pencil is regular, so 1 <= dim stab(alpha) <=
+    multiplicity at every root: the multiplicity decides the dimension when
+    it is at most 1, and only multiple roots take an exact rank (rational
+    alpha) or a float SVD (irrational alpha, whose entry carries a
+    ComplexApprox).  stab(0) = ker M^T and stab(inf) = ker M share one
+    dimension, and so do the multiplicities of 0 and infinity.  A vanishing
+    chi yields a degenerate report.
     """
     n = f.algebra.dim
     gm = gram(f)
-    dim0 = n - rank(pencil_at(gm, Alpha(0)))
-    dim_inf = n - rank(pencil_at(gm, ALPHA_INF))
     chi = pencil_det(gm, gm.transpose())
     if chi.is_zero():
-        zero_e = SpectrumEntry(Alpha(0), 0, dim0, False)
-        inf_e = SpectrumEntry(ALPHA_INF, 0, dim_inf, False)
+        d = n - rank(pencil_at(gm, ALPHA_INF))
+        zero_e = SpectrumEntry(Alpha(0), 0, d, False)
+        inf_e = SpectrumEntry(ALPHA_INF, 0, d, False)
         return SpectrumReport(n, -1, (), zero_e, inf_e, degenerate=True)
     p = chi.dehomogenize()
     v0 = p.x_valuation()
     mult_inf = n - p.degree
     core = p.shift_down(v0)
+
+    def stab_dim(alpha: Fraction | Alpha | ComplexApprox, mult: int) -> int:
+        """dim stab(alpha) at a root of multiplicity mult."""
+        if mult <= 1:
+            return mult
+        if not isinstance(alpha, ComplexApprox):
+            return n - rank(pencil_at(gm, alpha))
+        fm = np.array([[complex(x) for x in row] for row in gm.data])
+        return _numeric_kernel_dim(fm, alpha.as_complex())
+
     entries: list[SpectrumEntry] = []
-    fm = None  # gm as a complex array, made at the first irrational root
     if core.degree > 0:
         for root, mult in uni_roots(core):
-            if isinstance(root, Fraction):
-                d = n - rank(pencil_at(gm, root))
-                entries.append(SpectrumEntry(Alpha(root), mult, d, d == mult))
-            else:
-                if fm is None:
-                    fm = np.array([[complex(x) for x in row] for row in gm.data])
-                d = _numeric_kernel_dim(fm, root.as_complex())
-                entries.append(SpectrumEntry(root, mult, d, d == mult))
+            d = stab_dim(root, mult)
+            entries.append(SpectrumEntry(Alpha(root) if isinstance(root, Fraction) else root, mult, d, d == mult))
 
     def _sort_key(e: SpectrumEntry):
         if isinstance(e.alpha, Alpha):
@@ -175,8 +180,9 @@ def spectrum(f: Functional) -> SpectrumReport:
         return (1, e.alpha.re, e.alpha.im)
 
     entries.sort(key=_sort_key)
-    zero_e = SpectrumEntry(Alpha(0), v0, dim0, v0 == dim0)
-    inf_e = SpectrumEntry(ALPHA_INF, mult_inf, dim_inf, mult_inf == dim_inf)
+    d = stab_dim(ALPHA_INF, min(v0, mult_inf))
+    zero_e = SpectrumEntry(Alpha(0), v0, d, v0 == d)
+    inf_e = SpectrumEntry(ALPHA_INF, mult_inf, d, mult_inf == d)
     return SpectrumReport(n, p.degree, tuple(entries), zero_e, inf_e)
 
 
@@ -212,8 +218,8 @@ def _alpha0_candidates(n: int):
     return [Fraction(x) for x in base + extra]
 
 
-def find_alpha0(f: Functional, avoid: Alpha | None = None) -> Fraction:
-    """First base point with invertible pencil; raises NoRegularAlpha0.
+def find_alpha0(f: Functional, avoid: Alpha) -> Fraction:
+    """First base point other than ``avoid`` with invertible pencil; raises NoRegularAlpha0.
 
     Trying more than dim-many distinct candidates is a complete test: if all
     fail the pencil determinant vanishes identically (the pair is not of
@@ -223,7 +229,7 @@ def find_alpha0(f: Functional, avoid: Alpha | None = None) -> Fraction:
     m = gram(f)
     tried = 0
     for cand in _alpha0_candidates(f.algebra.dim):
-        if avoid is not None and not avoid.is_infinite and avoid.value == cand:
+        if not avoid.is_infinite and avoid.value == cand:
             continue
         tried += 1
         if not is_singular(pencil_at(m, cand)):
@@ -300,7 +306,7 @@ class ClassificationReport:
     seed: int
 
 
-def classify(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> ClassificationReport:
+def classify(alg: Algebra, sampler: SamplerConfig) -> ClassificationReport:
     """Probabilistic type verdict from seeded sampling.
 
     With zero minimal nil dimension the verdict is Type1 exactly when some
@@ -364,7 +370,7 @@ def _pencils_mod_p(ms: np.ndarray, alpha: Alpha) -> np.ndarray:
 
 
 def find_regular(
-    alg: Algebra, alpha, sampler: SamplerConfig = SamplerConfig(), fs: list[Functional] | None = None
+    alg: Algebra, alpha, sampler: SamplerConfig, fs: list[Functional] | None = None
 ) -> tuple[Functional, Subspace]:
     """Sampled functional achieving the minimal observed dim stab(alpha), and its stab(alpha).
 
@@ -402,14 +408,14 @@ def _least_exact(
     return fs[best], space
 
 
-def index(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> IndexReport:
+def index(alg: Algebra, sampler: SamplerConfig) -> IndexReport:
     """Minimal sampled dim stab(1), exact at its witness (see `find_regular`)."""
     witness, space = find_regular(alg, Alpha(1), sampler)
     return IndexReport(space.dim, witness, sampler.samples, sampler.seed)
 
 
 def constant_spectrum_alphas(
-    alg: Algebra, sampler: SamplerConfig = SamplerConfig(), fs: list[Functional] | None = None
+    alg: Algebra, sampler: SamplerConfig, fs: list[Functional] | None = None
 ) -> set[Alpha]:
     """Exact spectral values present (stab != 0) at every nondegenerate sampled functional.
 
@@ -454,7 +460,7 @@ class RegularityReport:
         return all(c.passed for c in self.checks)
 
 
-def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig = SamplerConfig()) -> RegularityReport:
+def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig) -> RegularityReport:
     """Consequences of regularity checked at sampled regular witnesses.
 
     At a 1-regular witness the stabilizer of 1 must be a commutative

@@ -147,7 +147,7 @@ def extended_cayley_check(
     )
 
 
-def random_cayley_instances(count: int = 30, seed: int = 0, tolerance: float = 1e-6) -> IdentityReport:
+def random_cayley_instances(count: int, seed: int, tolerance: float) -> IdentityReport:
     """Seeded batch of extended-Cayley checks on random integer matrices of
     size 1 to 4 with entries in [-5, 5]."""
     rng = random.Random(seed)
@@ -375,7 +375,7 @@ class TensorIndexReport:
 
 
 def mat_tensor_index_experiment(
-    n: int, alg_b: Algebra, sampler: SamplerConfig = SamplerConfig(), max_exact_chi_dim: int = 40
+    n: int, alg_b: Algebra, sampler: SamplerConfig, max_exact_chi_dim: int = 40
 ) -> TensorIndexReport:
     """Index of mat(n) (x) B versus n times the index of B.
 
@@ -416,9 +416,7 @@ class ConjectureProbeReport:
     seed: int
 
 
-def conjecture_probe(
-    alg_a: Algebra, alg_b: Algebra, sampler: SamplerConfig = SamplerConfig()
-) -> ConjectureProbeReport:
+def conjecture_probe(alg_a: Algebra, alg_b: Algebra, sampler: SamplerConfig) -> ConjectureProbeReport:
     """Raw numbers around the product-index question, asserted of nothing.
 
     Reports ind(A (x) B), ind(A) * ind(B), and the resonance sum over

@@ -1,6 +1,8 @@
 """No helper without a caller: every def and class in src/functal is named
 in the code of src/functal or perfbench/*.py besides its own definition and
-the package's __init__.py, which only re-exports."""
+the package's __init__.py, which only re-exports.  No idle default either:
+some call in that code passes each defaulted parameter, and some call there
+or in tests/ leaves it out."""
 
 import ast
 import tokenize
@@ -8,6 +10,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "functal"
+
+
+def library_files() -> list[Path]:
+    return [p for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) if p.name != "__init__.py"]
+
 
 # names kept on purpose with no caller yet
 ALLOWED = {
@@ -36,7 +43,7 @@ def named(path: Path) -> list[tuple[str, int]]:
 
 def uncalled_definitions() -> dict[str, str]:
     """{name: where} of every def and class that no other line names."""
-    files = [p for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) if p.name != "__init__.py"]
+    files = library_files()
     names = {p: named(p) for p in files}
     out = {}
     for path in files:
@@ -67,29 +74,26 @@ def test_every_definition_has_a_caller():
 # (def, parameter) kept on purpose with no call that passes it yet
 ALLOWED_PARAMETERS = {
     # ROADMAP item 2: the experiment has no caller until its suite lands
-    ("mat_tensor_index_experiment", "sampler"),
     ("mat_tensor_index_experiment", "max_exact_chi_dim"),
 }
 
 
-def unpassed_parameters() -> set[tuple[str, str]]:
-    """(def, parameter) of every defaulted parameter of a module-level def in
-    src/functal that no call in src/functal or perfbench/*.py passes, by
-    keyword or by position.  A def that is also named as a value (as in the
-    SUITES table), or called with *args or **kwargs, may be passed anything,
-    so it is skipped."""
-    files = [p for p in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) if p.name != "__init__.py"]
-    trees = {p: ast.parse(p.read_text()) for p in files}
+def calls(files: list[Path]) -> tuple[dict[str, ast.FunctionDef], dict[str, list[set[str]]], set[str]]:
+    """The module-level defs of src/functal; for each, the set of parameters
+    passed, by keyword or by position, at each of its calls in ``files``; and
+    the defs that may be passed anything: those named as a value (as in the
+    SUITES table) or called with *args or **kwargs."""
+    trees = [ast.parse(p.read_text()) for p in files]
     defs = {
         node.name: node
-        for path, tree in trees.items()
+        for path in library_files()
         if path.parent == SRC
-        for node in tree.body
+        for node in ast.parse(path.read_text()).body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     }
-    passed = {name: set() for name in defs}
+    passed = {name: [] for name in defs}
     as_value = set()
-    for tree in trees.values():
+    for tree in trees:
         callees = set()
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
@@ -102,21 +106,46 @@ def unpassed_parameters() -> set[tuple[str, str]]:
             params = [a.arg for a in defs[name].args.posonlyargs + defs[name].args.args]
             if any(isinstance(a, ast.Starred) for a in node.args) or any(k.arg is None for k in node.keywords):
                 as_value.add(name)
-            passed[name].update(params[: len(node.args)])
-            passed[name].update(k.arg for k in node.keywords)
+            passed[name].append(set(params[: len(node.args)]) | {k.arg for k in node.keywords})
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and node.id in defs and id(node) not in callees:
                 as_value.add(node.id)
-    out = set()
-    for name, node in defs.items():
-        if name in as_value:
-            continue
-        args = node.args
-        positional = args.posonlyargs + args.args
-        defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
-        defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        out.update((name, a.arg) for a in defaulted if a.arg not in passed[name])
-    return out
+    return defs, passed, as_value
+
+
+def defaulted(node: ast.FunctionDef) -> list[str]:
+    args = node.args
+    positional = args.posonlyargs + args.args
+    out = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    out += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [a.arg for a in out]
+
+
+def unpassed_parameters() -> set[tuple[str, str]]:
+    """(def, parameter) of every defaulted parameter of a module-level def in
+    src/functal that no call in src/functal or perfbench/*.py passes."""
+    defs, passed, as_value = calls(library_files())
+    return {
+        (name, a)
+        for name, node in defs.items()
+        if name not in as_value
+        for a in defaulted(node)
+        if not any(a in p for p in passed[name])
+    }
+
+
+def overridden_defaults() -> set[tuple[str, str]]:
+    """(def, parameter) of every defaulted parameter of a module-level def in
+    src/functal that every call in src/functal, perfbench/*.py and tests/
+    passes, so that its default is never used."""
+    defs, passed, as_value = calls(library_files() + sorted((ROOT / "tests").glob("*.py")))
+    return {
+        (name, a)
+        for name, node in defs.items()
+        if name not in as_value and passed[name]
+        for a in defaulted(node)
+        if all(a in p for p in passed[name])
+    }
 
 
 def test_every_defaulted_parameter_is_passed_somewhere():
@@ -124,3 +153,7 @@ def test_every_defaulted_parameter_is_passed_somewhere():
     assert unpassed - ALLOWED_PARAMETERS == set()
     # an allowed parameter that gains a caller leaves the list
     assert ALLOWED_PARAMETERS <= unpassed
+
+
+def test_no_default_is_overridden_by_every_call():
+    assert overridden_defaults() == set()

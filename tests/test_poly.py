@@ -12,7 +12,7 @@ import sympy
 from functal.algebra import nilpotent_pair
 from functal.errors import ZeroPolynomial
 from functal.functional import Functional, gram
-from functal import linalg
+from functal import linalg, poly as poly_module
 from functal.linalg import RatMatrix, ff_det
 from functal.poly import (
     LAM,
@@ -22,6 +22,7 @@ from functal.poly import (
     UnivariatePoly,
     _gcd,
     _primitive,
+    _prs_gcd,
     make_poly,
     pencil_det,
     squarefree_decomposition,
@@ -185,8 +186,14 @@ def _monic_coeffs(sp):
     return tuple(Q(int(c.p), int(c.q)) for c in reversed([c / lead for c in sp.all_coeffs()]))
 
 
-def test_squarefree_decomposition_and_gcd_match_sympy():
+@pytest.mark.parametrize("route", ["heuristic", "prs"])
+def test_squarefree_decomposition_and_gcd_match_sympy(monkeypatch, route):
+    """Both gcd routes against sympy: the heuristic GCD with its PRS
+    fallback (`_gcd`), and the PRS alone (`_prs_gcd`, also put under Yun's
+    loop)."""
     sympy = pytest.importorskip("sympy")
+    gcd = _gcd if route == "heuristic" else _prs_gcd
+    monkeypatch.setattr(poly_module, "_gcd", gcd)
     x = sympy.Symbol("x")
     rng = random.Random(9)
     for _ in range(60):
@@ -197,14 +204,66 @@ def test_squarefree_decomposition_and_gcd_match_sympy():
         _, want = _sympy_poly(sympy, p.coeffs, x).sqf_list()
         got = squarefree_decomposition(p)
         assert [(f.coeffs, m) for f, m in got] == [(_monic_coeffs(f), m) for f, m in want]
-        # the gcd of p and a product sharing factors with it, against sympy's
-        # primitive part, leading coefficient > 0
+        # the gcd of p and a product sharing factors with it, both with
+        # content and either sign, against sympy's primitive part with
+        # leading coefficient > 0
         q = UnivariatePoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(-9, -1)])
         q = q * got[0][0] * rng.randint(2, 6)
-        k = rng.randint(1, 3)
-        a, b = [k * c for c in _primitive(p.coeffs)], _primitive(q.coeffs)
+        a = [rng.choice([-3, -1, 1, 2]) * c for c in _primitive(p.coeffs)]
+        b = [rng.choice([-2, 1, 5]) * c for c in _primitive(q.coeffs)]
         want_gcd = sympy.gcd(_sympy_poly(sympy, a, x), _sympy_poly(sympy, b, x)).primitive()[1]
-        assert _gcd(a, b) == [int(c) for c in reversed(want_gcd.all_coeffs())]
+        want_gcd = [int(c) for c in reversed(want_gcd.all_coeffs())]
+        assert gcd(a, b) == (want_gcd if want_gcd[-1] > 0 else [-c for c in want_gcd])
+
+
+def _int_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_heuristic_gcd_of_planted_pairs_checks_every_candidate(monkeypatch):
+    """Small pairs g*u, g*v: the heuristic GCD equals the PRS gcd, and some
+    first candidates fail the division check (so a route that skips the
+    check returns a wrong gcd here)."""
+    rejected = []
+    quotient = poly_module._quotient
+
+    def spy(a, b):
+        try:
+            return quotient(a, b)
+        except ArithmeticError:
+            rejected.append((a, b))
+            raise
+
+    monkeypatch.setattr(poly_module, "_quotient", spy)
+    rng = random.Random(22)
+
+    def small(deg):
+        return [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([-1, 1]) * rng.randint(1, 9)]
+
+    for _ in range(400):
+        g = small(rng.randint(0, 3))
+        a, b = _int_mul(g, small(rng.randint(0, 3))), _int_mul(g, small(rng.randint(0, 3)))
+        assert _gcd(a, b) == _prs_gcd(a, b), (a, b)
+    assert len(rejected) >= 5
+
+
+@pytest.mark.parametrize("gcd", [_gcd, _prs_gcd], ids=["heuristic", "prs"])
+def test_gcd_edge_cases(gcd):
+    assert gcd([-2, -4, -6], []) == [1, 2, 3]
+    assert gcd([3], []) == [1]
+    assert gcd([5], [1, 2, 3]) == [1]
+    assert gcd([2, 4], [-6, -12]) == [1, 2]
+    # (x - 1)(x + 2) and -3 (x - 1)^2
+    assert gcd([-2, 1, 1], [-3, 6, -3]) == [-1, 1]
+    assert gcd([-3, 6, -3], [-2, 1, 1]) == [-1, 1]
+    # coprime, with content and negative leading coefficients
+    assert gcd([4, 0, -8], [-9, -3]) == [1]
+    # a gcd of degree 2 under content 6 and 10
+    assert gcd(_int_mul([6, 0, 6], [1, 1]), _int_mul([-10, 0, -10], [2, -1])) == [1, 0, 1]
 
 
 def test_squarefree_decomposition_planted_property():

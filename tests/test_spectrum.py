@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 
 from functal.algebra import (
@@ -18,9 +19,10 @@ from functal.algebra import (
 from functal.errors import EnvelopeExceeded, NoRegularAlpha0, ZeroPolynomial
 from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, nil, pencil_at, stab, trace_functional
 from functal.gallery import gallery_algebras
-from functal.linalg import PRIME, RatMatrix
+from functal.linalg import PRIME, RatMatrix, rank
 from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly, uni_roots
-from functal.sampling import SamplerConfig, sample_functionals
+from functal.sampling import SamplerConfig, random_functional, sample_functionals
+from functal.scalars import ComplexApprox
 from functal.spectrum import (
     char_poly,
     char_poly_raw,
@@ -214,8 +216,6 @@ def test_spectrum_numeric_entries_for_irrational_roots():
     f = trace_functional(mat(2), RatMatrix([[1, 1], [1, 0]]))
     rep = spectrum(f)
     assert not rep.degenerate
-    from functal.scalars import ComplexApprox
-
     approx = [e for e in rep.entries if isinstance(e.alpha, ComplexApprox)]
     assert approx
     assert sum(e.multiplicity for e in rep.all_entries()) == 4
@@ -233,6 +233,75 @@ def test_spectrum_symmetry_alpha_inverse():
             if isinstance(e.alpha, Alpha):
                 inv = e.alpha.inverse()
                 assert dims.get(str(inv)) == e.stab_dim
+
+
+def _stab_dim_oracle(f, e):
+    """dim stab(alpha) computed outright: n - rank of the pencil at an exact
+    alpha, the float SVD count at an irrational one."""
+    gm = gram(f)
+    if isinstance(e.alpha, ComplexApprox):
+        fm = np.array([[complex(x) for x in row] for row in gm.data])
+        return spectrum_module._numeric_kernel_dim(fm, e.alpha.as_complex())
+    return f.algebra.dim - rank(pencil_at(gm, e.alpha))
+
+
+def _differential_functionals():
+    algs = dict(gallery_algebras())
+    algs.update(
+        {
+            "mat:3": mat(3),
+            "ut:4": ut(4),
+            "tensor:mat:2;ut:3": tensor_product(mat(2), ut(3)),
+            "seaweed:2,1,1;1,3": seaweed([2, 1, 1], [1, 3]),
+            "seaweed:2,2,1;1,3,1": seaweed([2, 2, 1], [1, 3, 1]),
+        }
+    )
+    for name, alg in algs.items():
+        rng = random.Random(name)
+        for k in range(6):
+            bound = 2 if k % 2 else 20  # small coordinates give multiple and degenerate roots
+            yield Functional(alg, tuple(Q(rng.randint(-bound, bound)) for _ in range(alg.dim)))
+    # a multiple root with stab_dim below it, and multiple irrational roots:
+    # diag(1, 2) (+) [[0, 2], [1, 0]] has roots +-sqrt(2) and +-1/sqrt(2) of order 2
+    yield Functional.from_dict(
+        unital_extension(nilpotent_pair(NONDIAG_B)), {"one": 1, "v1": 2, "v2": 3, "v3": 5, "v4": 7, "w": 1}
+    )
+    yield trace_functional(mat(4), RatMatrix([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 0, 2], [0, 0, 1, 0]]))
+
+
+def test_spectrum_stab_dims_match_the_outright_computation():
+    """Every stab_dim, decided by the multiplicity or computed, equals the
+    rank or SVD count at its alpha; the corpus holds roots of order 2 with
+    dimension 1 and 2, and irrational roots of order 2 and 3."""
+    seen = set()
+    for f in _differential_functionals():
+        rep = spectrum(f)
+        for e in (rep.zero_entry, *rep.entries, rep.infinity_entry):
+            assert e.stab_dim == _stab_dim_oracle(f, e), (f, e)
+            assert e.precise == (not rep.degenerate and e.stab_dim == e.multiplicity)
+            seen.add((isinstance(e.alpha, ComplexApprox), e.multiplicity, e.stab_dim))
+    assert {(False, 2, 1), (False, 2, 2), (True, 2, 2), (True, 3, 3)} <= seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_spectrum_work_counts_on_mat5(monkeypatch, seed):
+    """`spectrum --algebra mat:5 --seed s`: the multiplicity decides every
+    simple root, so only the shared 0/infinity entry takes a rank and no
+    SVD runs (3 ranks and 20 SVDs each when every root took one)."""
+    counts = {"rank": 0, "svd": 0}
+    real_rank, real_svd = spectrum_module.rank, spectrum_module._numeric_kernel_dim
+
+    def counted(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(spectrum_module, "rank", counted("rank", real_rank))
+    monkeypatch.setattr(spectrum_module, "_numeric_kernel_dim", counted("svd", real_svd))
+    spectrum(random_functional(mat(5), random.Random(seed)))
+    assert counts == {"rank": 1, "svd": 0}
 
 
 # ---------------------------------------------------------------------------
