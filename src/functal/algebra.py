@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AlgebraParseError, AssociativityViolation
-from .linalg import PRIME, Vector, vec
+from .linalg import PRIME, Vector, integer_vector, vec
 from .scalars import input_rat, rat, rat_str
 
 # ascending nonzero (k, c) pairs of one product e_i * e_j
@@ -112,19 +112,27 @@ class Algebra:
     def basis_vector(self, i: int) -> Vector:
         return tuple(Fraction(1) if j == i else Fraction(0) for j in range(self.dim))
 
-    def product_coords(self, x: Vector, y: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
+    def integer_product(self, x: Sequence[int], y: Sequence[int]) -> list[int]:
+        """d * (x y) for integer coordinates x and y, with (d, table) the
+        `integer_table`: the one product loop."""
+        _, table = self.integer_table
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
+        out = [0] * self.dim
         for i, xi in enumerate(x):
-            if xi == 0:
+            if not xi:
                 continue
-            row = self.table[i]
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
+            row = table[i]
+            for j, yj in ys:
                 f = xi * yj
                 for k, c in row[j]:
                     out[k] += f * c
-        return tuple(out)
+        return out
+
+    def product_coords(self, x: Vector, y: Vector) -> Vector:
+        """x y for int or Fraction coordinates, by `integer_product`."""
+        (ex, ix), (ey, iy) = integer_vector(x), integer_vector(y)
+        d = self.integer_table[0] * ex * ey
+        return tuple(Fraction(z, d) for z in self.integer_product(ix, iy))
 
     def is_unital(self) -> bool:
         return self.unity is not None

@@ -10,19 +10,25 @@ All stabilizer spaces are exact kernels of rational matrices built from M:
 The orientation (which of M, M^T appears where) is pinned by the golden
 behaviour on the full matrix algebra with a diagonal trace functional:
 stab(d_i/d_j) is spanned by the single matrix unit E_{i,j}.
+
+Every subspace is computed on its integer form (d, rows), d times its reduced
+echelon basis: stabilizers come from `kernel`, spans and intersections from
+`rref`, products from `Algebra.integer_product`, and membership is a test
+over Z.  Fractions appear only in `Subspace.basis`, built for output.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Mapping, Sequence
 
 from . import algebra as alg_mod
 from .algebra import Algebra
 from .errors import AlgebraMismatch, NotMatrixAlgebra
-from .linalg import RatMatrix, Vector, kernel, rank, rref, vec, vec_dot, vec_is_zero
+from .linalg import RatMatrix, Vector, integer_vector, kernel, rank, rref, vec, vec_dot
 from .scalars import input_rat, rat, rat_str
 
 
@@ -144,21 +150,24 @@ def trace_functional(algebra: Algebra, f_hat: RatMatrix) -> Functional:
 
 
 class Subspace:
-    """Linear subspace with a canonical reduced-echelon basis.
+    """Linear subspace held on its integer form (d, rows): rows is d times the
+    reduced row echelon basis, and d > 0 its least common denominator, so one
+    space has one form, which equality and hashing compare.
 
-    ``pivots[k]`` is the pivot column of ``basis[k]``: its first nonzero
-    coordinate, which is 1 there and 0 in every other basis row.
+    ``pivots[k]`` is the pivot column of ``rows[k]``: its first nonzero
+    coordinate, which is d there and 0 in every other row.  ``basis`` is the
+    reduced-echelon basis in Fractions, built at its first use.
     """
 
-    __slots__ = ("algebra", "basis", "pivots")
+    __slots__ = ("algebra", "d", "rows", "pivots", "_basis")
 
-    def __init__(self, algebra: Algebra, spanning: Sequence[Vector]):
-        self.algebra = algebra
-        rows = [vec(v) for v in spanning]
+    def __init__(self, algebra: Algebra, spanning: Sequence[Sequence]):
+        """The span of vectors with int or Fraction coordinates."""
+        rows = list(spanning)
         for v in rows:
             if len(v) != algebra.dim:
                 raise ValueError("vector length does not match algebra dimension")
-        self.basis, self.pivots = rref(rows)
+        self._fill(algebra, *rref(rows))
 
     @classmethod
     def zero(cls, algebra: Algebra) -> "Subspace":
@@ -166,45 +175,65 @@ class Subspace:
 
     @classmethod
     def whole(cls, algebra: Algebra) -> "Subspace":
-        return cls(algebra, [algebra.basis_vector(i) for i in range(algebra.dim)])
+        n = algebra.dim
+        return cls(algebra, [tuple(int(i == j) for j in range(n)) for i in range(n)])
+
+    @property
+    def basis(self) -> tuple[Vector, ...]:
+        if self._basis is None:
+            d = self.d
+            # equal entries share one Fraction, which is immutable
+            frac = {x: Fraction(x, d) for x in {x for row in self.rows for x in row}}
+            self._basis = tuple(tuple(map(frac.__getitem__, row)) for row in self.rows)
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
-    def residue(self, v: Vector) -> Vector:
-        """v minus the basis combination that matches it at every pivot column."""
-        x = list(v)
-        for p, row in zip(self.pivots, self.basis):
-            c = x[p]
-            if c != 0:
-                x = [a - c * b for a, b in zip(x, row)]
-        return tuple(x)
+    def _spans(self, w: Sequence[int]) -> bool:
+        """w in the space, for integer w: d * w = sum of w[p_k] * rows[k] over Z."""
+        acc = [self.d * x for x in w]
+        for p, row in zip(self.pivots, self.rows):
+            c = w[p]
+            if c:
+                acc = [a - c * b for a, b in zip(acc, row)]
+        return not any(acc)
 
-    def contains(self, v: Vector) -> bool:
-        return vec_is_zero(self.residue(vec(v)))
+    def contains(self, v: Sequence) -> bool:
+        """v in the space, for int or Fraction coordinates."""
+        return self._spans(integer_vector(v)[1])
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(vec_is_zero(self.residue(w)) for w in other.basis)
+        return all(self._spans(w) for w in other.rows)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Zassenhaus: rows of rref((u | u), (w | 0)) with pivot >= n end in the intersection."""
         self._check(other)
         n = self.algebra.dim
-        reduced, pivots = rref([u + u for u in self.basis] + [w + (Fraction(0),) * n for w in other.basis])
-        # those right halves are already a reduced echelon basis, with pivots p - n
+        d, reduced, pivots = rref([u + u for u in self.rows] + [w + (0,) * n for w in other.rows])
+        # those right halves are already d times a reduced echelon basis, with pivots p - n
         right = [(row[n:], p - n) for row, p in zip(reduced, pivots) if p >= n]
-        return Subspace._reduced(self.algebra, tuple(v for v, _ in right), tuple(p for _, p in right))
+        return Subspace._reduced(self.algebra, d, tuple(v for v, _ in right), tuple(p for _, p in right))
 
     @classmethod
-    def _reduced(cls, algebra: Algebra, basis: tuple[Vector, ...], pivots: tuple[int, ...]) -> "Subspace":
-        """The subspace with this reduced-echelon basis and its pivots, taken as given."""
+    def _reduced(cls, algebra: Algebra, d: int, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]) -> "Subspace":
+        """The subspace with these integer rows d * R of a reduced-echelon basis R
+        and their pivots, taken as given."""
         out = object.__new__(cls)
-        out.algebra, out.basis, out.pivots = algebra, basis, pivots
+        out._fill(algebra, d, rows, pivots)
         return out
+
+    def _fill(self, algebra: Algebra, d: int, rows: tuple[tuple[int, ...], ...], pivots: tuple[int, ...]):
+        """Store d * R divided by gcd(d, its entries), which leaves d the least
+        common denominator of R: its pivots are 1."""
+        g = gcd(d, *(gcd(*row) for row in rows))
+        if g > 1:
+            d, rows = d // g, tuple(tuple(x // g for x in row) for row in rows)
+        self.algebra, self.d, self.rows, self.pivots, self._basis = algebra, d, rows, pivots, None
 
     def _check(self, other: "Subspace"):
         if self.algebra != other.algebra:
@@ -213,12 +242,13 @@ class Subspace:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
+            and self.rows == other.rows
+            and self.d == other.d
             and self.algebra == other.algebra
-            and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.basis))
+        return hash((self.algebra, self.d, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.algebra.dim})"
@@ -233,8 +263,7 @@ def gram(f: Functional) -> RatMatrix:
     """Pairing matrix with entry (i,j) = F(e_i e_j); linear in F.  Computed once per
     functional, over Z with the common denominators of F and of the table."""
     if f._gram is None:
-        dx = lcm(*(x.denominator for x in f.coords))
-        x = [c.numerator * (dx // c.denominator) for c in f.coords]
+        dx, x = integer_vector(f.coords)
         dt, table = f.algebra.integer_table
         rows = tuple(tuple(sum(x[k] * c for k, c in cell) for cell in row) for row in table)
         object.__setattr__(f, "_gram", RatMatrix.from_integer_form(dx * dt, rows))
@@ -256,8 +285,9 @@ def stab(f: Functional, alpha) -> Subspace:
     """Stabilizer at alpha; see the module docstring for the convention.  Reversing
     each vector, and the list, of the kernel basis of the column-reversed pencil
     gives the reduced-echelon basis, so one elimination suffices."""
-    basis = tuple(v[::-1] for v in reversed(kernel([row[::-1] for row in pencil_at(gram(f), alpha)])))
-    return Subspace._reduced(f.algebra, basis, tuple(v.index(1) for v in basis))
+    d, ker = kernel([row[::-1] for row in pencil_at(gram(f), alpha)])
+    rows = tuple(v[::-1] for v in reversed(ker))
+    return Subspace._reduced(f.algebra, d, rows, tuple(v.index(d) for v in rows))
 
 
 def nil(f: Functional) -> Subspace:
@@ -283,12 +313,12 @@ def subspace_product(u: Subspace, v: Subspace) -> Subspace:
     if u.algebra != v.algebra:
         raise AlgebraMismatch("subspaces of different algebras")
     a = u.algebra
-    products = [a.product_coords(x, y) for x in u.basis for y in v.basis]
-    return Subspace(a, products)
+    return Subspace(a, [a.integer_product(x, y) for x in u.rows for y in v.rows])
 
 
 def vanishes_on(f: Functional, s: Subspace) -> bool:
-    return all(vec_dot(f.coords, v) == 0 for v in s.basis)
+    x = integer_vector(f.coords)[1]
+    return not any(sum(map(operator.mul, x, row)) for row in s.rows)
 
 
 def restrict_form(m: RatMatrix, rows: Subspace, cols: Subspace) -> RatMatrix:

@@ -8,11 +8,13 @@ one fraction-free loop, `_eliminate` (single-step Bareiss, Math. Comp. 22,
 1968), over the integers or over polynomials.  `det` scales the rows to
 integers and returns the signed last pivot over the scale.  `rref` scales the
 rows, eliminates and back-substitutes over the integers; with d the last
-pivot, d times each reduced row is an integer row, so the only fractions are
-the final entries x/d (Nakos, Turner, Williams, SIGSAM Bull. 31, 1997).
-`det`, `kernel` and `rank` take a `RatMatrix` or integer rows, which go into
-the elimination as they are.  Kernel bases follow sympy's `nullspace`, so a
-given row space always produces the same basis bit for bit.
+pivot, d times each reduced row is an integer row (Nakos, Turner, Williams,
+SIGSAM Bull. 31, 1997), and `rref` returns that integer form (|d|, rows,
+pivots) with no Fraction in it.  `kernel` returns (d, d times the kernel
+basis) from it, the basis being sympy's `nullspace`, so a given row space
+always produces the same basis; d depends on the rows given.  `det`,
+`kernel` and `rank` take a `RatMatrix` or integer rows, which go into the
+elimination as they are.
 
 Outside that loop, one numpy elimination over word-size primes,
 `_eliminate_mod`, takes a whole stack of matrices at once, so the per-call
@@ -162,8 +164,7 @@ class RatMatrix:
         if self.cols != len(v):
             raise ValueError("dimension mismatch in matrix-vector product")
         d, ints = self.integer_form()
-        dv = lcm(*(x.denominator for x in v))
-        iv = [x.numerator * (dv // x.denominator) for x in v]
+        dv, iv = integer_vector(v)
         return tuple(Fraction(sum(map(operator.mul, u, iv)), d * dv) for u in ints)
 
 
@@ -173,17 +174,23 @@ def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
     return RatMatrix.from_integer_form(da * db, tuple(tuple(s * t for s in u for t in w) for u in x for w in y))
 
 
+def integer_vector(v: Sequence) -> tuple[int, Sequence[int]]:
+    """(e, e * v) for e the lcm of the denominators of the int or Fraction
+    entries of v; integer entries come back as they are, with e = 1."""
+    if all(type(x) is int for x in v):
+        return 1, v
+    e = lcm(*(x.denominator for x in v))
+    return e, [x.numerator * (e // x.denominator) for x in v]
+
+
 def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """Each row times the lcm of its denominators, and the product of those
-    lcms; integer rows come back as copies, with scale 1."""
-    if all(type(x) is int for row in rows for x in row):
-        return [list(row) for row in rows], 1
-    scale = 1
-    out: list[list[int]] = []
+    """Each row times the lcm of its denominators (`integer_vector`), as a
+    new list, and the product of those lcms."""
+    scale, out = 1, []
     for row in rows:
-        denom = lcm(*(x.denominator for x in row))
-        scale *= denom
-        out.append([x.numerator * (denom // x.denominator) for x in row])
+        e, ints = integer_vector(row)
+        scale *= e
+        out.append(list(ints))
     return out, scale
 
 
@@ -228,16 +235,17 @@ def _eliminate(rows: list[list], zero, div: Callable) -> tuple[list[int], int]:
     return pivots, sign
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]:
-    """Reduced row echelon form of a list of rational or integer vectors.
-
-    Returns (nonzero rows, pivot column indices); deterministic for any
-    spanning set of the same row space.
-    """
-    ints, _ = _integer_rows(rows)
+def rref(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """Reduced row echelon form R of a list of rational or integer vectors, as
+    (d, d * R without its zero rows, pivot columns): d > 0 is the magnitude of
+    the elimination's last pivot, so every row is an integer row, d at its own
+    pivot and 0 at the others.  R is the same for any spanning set of the row space; d need
+    not be.  No rows or no pivots give (1, (), ())."""
+    # zero rows change no pivot, but the elimination would rescale each of them
+    ints = [row for row in _integer_rows(rows)[0] if any(row)]
     pivots, _ = _eliminate(ints, 0, operator.floordiv)
     if not pivots:
-        return (), ()
+        return 1, (), ()
     n_cols = len(ints[0])
     free = [j for j in range(n_cols) if j not in pivots]
     d = ints[len(pivots) - 1][pivots[-1]]
@@ -252,41 +260,43 @@ def rref(rows: Sequence[Sequence]) -> tuple[tuple[Vector, ...], tuple[int, ...]]
                 acc = [a - c * b for a, b in zip(acc, x)]
         pk = u[pivots[k]]
         scaled.append([a // pk for a in acc])
-    zero, one = Fraction(0), Fraction(1)
+    sign = 1 if d > 0 else -1
     out = []
     for p, x in zip(pivots, reversed(scaled)):
-        row = [zero] * n_cols
-        row[p] = one
+        row = [0] * n_cols
+        row[p] = sign * d
         for j, a in zip(free, x):
-            row[j] = Fraction(a, d) if a else zero
+            row[j] = sign * a
         out.append(tuple(row))
-    return tuple(out), tuple(pivots)
+    return sign * d, tuple(out), tuple(pivots)
 
 
-def kernel(m: RatMatrix | Sequence[Sequence[int]]) -> list[Vector]:
-    """Basis of {v : m @ v = 0} for a rational matrix or integer rows.
+def kernel(m: RatMatrix | Sequence[Sequence[int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, d times a basis of {v : m @ v = 0}) for a rational matrix or integer
+    rows, with d > 0 the `rref` scale.
 
     One vector per free column f, in order: 1 at f, 0 at the other free
     columns, minus the reduced-echelon coefficient of column f at each pivot
-    column (sympy's `nullspace`): kernel([[1, 2, 3]]) is [(-2, 1, 0), (-3, 0, 1)].
+    column (sympy's `nullspace`): kernel([[1, 2, 3]]) is (1, [(-2, 1, 0), (-3, 0, 1)]).
     """
-    rows = m.data if isinstance(m, RatMatrix) else m
+    rows = m.integer_form()[1] if isinstance(m, RatMatrix) else m
     cols = len(rows[0]) if rows else 0
-    reduced, pivots = rref(rows)
-    free = [c for c in range(cols) if c not in pivots]
-    basis: list[Vector] = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r_idx, p in enumerate(pivots):
-            v[p] = -reduced[r_idx][f]
+    d, reduced, pivots = rref(rows)
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = d
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
         basis.append(tuple(v))
-    return basis
+    return d, basis
 
 
 def rank(m: RatMatrix | Sequence[Sequence[int]]) -> int:
     """Rank of a rational matrix or of integer rows."""
-    ints, _ = _integer_rows(m.data if isinstance(m, RatMatrix) else m)
+    ints, _ = _integer_rows(m.integer_form()[1] if isinstance(m, RatMatrix) else m)
     return len(_eliminate(ints, 0, operator.floordiv)[0])
 
 
@@ -460,10 +470,10 @@ def inverse(m: RatMatrix) -> RatMatrix:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
     d, ints = m.integer_form()
-    reduced, pivots = rref([row + tuple(d if j == i else 0 for j in range(n)) for i, row in enumerate(ints)])
+    scale, reduced, pivots = rref([row + tuple(d if j == i else 0 for j in range(n)) for i, row in enumerate(ints)])
     if list(pivots[:n]) != list(range(n)):
         raise SingularMatrix("matrix is singular")
-    return RatMatrix([row[n:] for row in reduced[:n]])
+    return RatMatrix.from_integer_form(scale, tuple(row[n:] for row in reduced[:n]))
 
 
 def is_singular(rows: Sequence[Sequence[int]]) -> bool:

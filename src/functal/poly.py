@@ -392,22 +392,27 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
 _HEU_TRIES = 6
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd, leading coefficient > 0, of a nonzero a and any b.
+def _gcd(a: list[int], b: list[int]) -> tuple[list[int], list[int], list[int]]:
+    """(g, a/g, b/g) for g the primitive gcd, leading coefficient > 0, of a
+    nonzero a and any b.
 
     Heuristic GCD (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989):
     with a and b primitive and xi >= 2 min(|a|, |b|) + 2 in the max norm, the
     symmetric xi-adic digits of gcd(a(xi), b(xi)) give a candidate whose
     primitive part is the gcd if it divides both (Geddes, Czapor and Labahn,
     Algorithms for Computer Algebra, Thm 7.7).  Each failed check grows xi;
-    after `_HEU_TRIES` tries the primitive PRS decides (`_prs_gcd`).
+    after `_HEU_TRIES` tries the primitive PRS decides (`_prs_gcd`).  The
+    quotients of that check are the cofactors, times the contents of a and b.
     """
+    pa = _primitive(a)
+    ca = a[-1] // pa[-1]
     if not b:
-        return _primitive(a)
-    a, b = _primitive(a), _primitive(b)
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+        return pa, [ca], []
+    pb = _primitive(b)
+    cb = b[-1] // pb[-1]
+    xi = 2 * min(max(map(abs, pa)), max(map(abs, pb))) + 2
     for _ in range(_HEU_TRIES):
-        h = math.gcd(_eval(a, xi), _eval(b, xi))
+        h = math.gcd(_eval(pa, xi), _eval(pb, xi))
         digits = []
         while h:
             d = h % xi
@@ -417,16 +422,18 @@ def _gcd(a: list[int], b: list[int]) -> list[int]:
             h = (h - d) // xi
         g = _primitive(digits)
         try:
-            _quotient(a, g)
-            _quotient(b, g)
-            return g
+            qa, qb = _quotient(pa, g), _quotient(pb, g)
+            break
         except ArithmeticError:
             xi = xi * 73794 // 27011  # GCDHEU's growth, about 1 + sqrt(3)
-    return _prs_gcd(a, b)
+    else:
+        g = _prs_gcd(pa, pb)
+        qa, qb = _quotient(pa, g), _quotient(pb, g)
+    return g, [ca * x for x in qa], [cb * x for x in qb]
 
 
 def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
-    """`_gcd` by the primitive PRS (Brown, J. ACM 18, 1971)."""
+    """The gcd g of `_gcd` by the primitive PRS (Brown, J. ACM 18, 1971)."""
     if len(a) < len(b):
         a, b = b, a
     a = _primitive(a)
@@ -459,25 +466,22 @@ def squarefree_decomposition(p: UnivariatePoly) -> list[tuple[UnivariatePoly, in
     with a = gcd(f, f'), b = f/a and c = f'/a, each step takes
     d = c - b', a = gcd(b, d) (the product of the factors of the next
     multiplicity), then b = b/a and c = d/a.  The gcds are by heuristic GCD,
-    PRS fallback (`_gcd`), and by Gauss's lemma every division by a
-    primitive divisor is exact over the integers.  Multiplicities ascend.
+    PRS fallback (`_gcd`), which returns both quotients with the gcd; by
+    Gauss's lemma they are exact over the integers.  Multiplicities ascend.
     """
     if p.is_zero():
         raise ZeroPolynomial("squarefree decomposition of zero")
     if p.degree == 0:
         return []
     f = _primitive(p.coeffs)
-    df = _derivative(f)
-    a = _gcd(f, df)
-    b, c = _quotient(f, a), _quotient(df, a)
+    _, b, c = _gcd(f, _derivative(f))
     out: list[tuple[UnivariatePoly, int]] = []
     i = 1
     while len(b) > 1:
         d = [x - y for x, y in zip(c, _derivative(b), strict=True)]
         while d and d[-1] == 0:
             d.pop()
-        a = _gcd(b, d)
-        b, c = _quotient(b, a), _quotient(d, a)
+        a, b, c = _gcd(b, d)
         if len(a) > 1:
             out.append((UnivariatePoly(a).monic(), i))
         i += 1
@@ -604,7 +608,8 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
         r = [linalg.det([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)]).numerator for t in range(h + 1)]
     if reciprocal:
         system = [[t**j + t ** (n - j) if 2 * j < n else t**j for j in range(h + 1)] + [y] for t, y in enumerate(r)]
-        half = [row[-1].numerator for row in linalg.rref(system)[0]]
+        scale, rows, _ = linalg.rref(system)
+        half = [row[-1] // scale for row in rows]
         coeffs = half + half[n - h - 1 :: -1]
     else:
         for j in range(1, n + 1):

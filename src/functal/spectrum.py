@@ -17,10 +17,11 @@ at infinity) and B = M^T - alpha0*M regular, V_1 = ker P and V_{k+1} =
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import PRIME, Vector, ff_det, is_singular, kernel, rank, ranks_mod_p
+from .linalg import PRIME, ff_det, is_singular, kernel, rank, ranks_mod_p
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
@@ -241,10 +242,9 @@ def find_alpha0(f: Functional, avoid: Alpha) -> Fraction:
     )
 
 
-def _primitive_image(b: list[list[int]], w: Vector) -> list[int]:
-    """B*w as a primitive integer column, which keeps the kernel's integers small."""
-    d = lcm(*(x.denominator for x in w))
-    col = [sum(r * x.numerator * (d // x.denominator) for r, x in zip(row, w) if x) for row in b]
+def _primitive_image(b: Sequence[Sequence[int]], w: Sequence[int]) -> list[int]:
+    """B*w as a primitive integer column, for integer w, which keeps the kernel's integers small."""
+    col = [sum(map(operator.mul, row, w)) for row in b]
     g = gcd(*col)
     return [c // g for c in col]
 
@@ -272,14 +272,14 @@ def jordan_spaces(f: Functional, alpha, alpha0=None) -> JordanFiltration:
     levels: list[Subspace] = []
     image: list[list[int]] = []
     while True:
-        ker = kernel([row + tuple(c[i] for c in image) for i, row in enumerate(p)])
+        _, ker = kernel([row + tuple(c[i] for c in image) for i, row in enumerate(p)])
         level = Subspace(f.algebra, [x[:n] for x in ker])
         if levels and level.dim == levels[-1].dim:
             break
         levels.append(level)
         if level.dim == n:
             break
-        image = [_primitive_image(b, w) for w in level.basis]
+        image = [_primitive_image(b, w) for w in level.rows]
     return JordanFiltration(alpha, tuple(levels), alpha0)
 
 
@@ -476,11 +476,13 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig) -> Regulari
     _, s1 = find_regular(alg, Alpha(1), sampler, fs)
     commutative = True
     detail = ""
-    for i, x in enumerate(s1.basis):
-        for y in s1.basis[i + 1 :]:
-            if alg.product_coords(x, y) != alg.product_coords(y, x):
+    # the products run on the integer rows; a failure prints the Fraction basis
+    mul = alg.integer_product
+    for i, x in enumerate(s1.rows):
+        for j, y in enumerate(s1.rows[i + 1 :], i + 1):
+            if mul(x, y) != mul(y, x):
                 commutative = False
-                detail = f"noncommuting pair in stab(1): {x} vs {y}"
+                detail = f"noncommuting pair in stab(1): {s1.basis[i]} vs {s1.basis[j]}"
                 break
         if not commutative:
             break
@@ -497,9 +499,7 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig) -> Regulari
         )
     )
     nil0 = s0.intersect(s_inf)
-    nil_trivial = all(
-        all(x == 0 for x in alg.product_coords(u, v)) for u in nil0.basis for v in nil0.basis
-    )
+    nil_trivial = not any(any(mul(u, v)) for u in nil0.rows for v in nil0.rows)
     checks.append(CheckResult("nil space has trivial multiplication at 0-regular witness", nil_trivial))
 
     constants = constant_spectrum_alphas(alg, sampler, fs)
@@ -512,13 +512,13 @@ def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig) -> Regulari
         sb = stab(fa, a.inverse())
         ok = True
         detail = ""
-        for x in sa.basis:
-            for y in sb.basis:
-                xy = alg.product_coords(x, y)
-                yx = alg.product_coords(y, x)
-                if tuple(xy) != tuple(a.value * t for t in yx):
+        # with a = u/v, x y = a y x is v x y = u y x
+        u, v = a.value.numerator, a.value.denominator
+        for i, x in enumerate(sa.rows):
+            for j, y in enumerate(sb.rows):
+                if [v * t for t in mul(x, y)] != [u * t for t in mul(y, x)]:
                     ok = False
-                    detail = f"x y != {a} y x for x={x}, y={y}"
+                    detail = f"x y != {a} y x for x={sa.basis[i]}, y={sb.basis[j]}"
                     break
             if not ok:
                 break

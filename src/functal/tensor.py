@@ -30,7 +30,7 @@ from . import linalg
 from .algebra import Algebra, mat, tensor_product
 from .errors import AlgebraMismatch, DegeneratePencil, NoRegularAlpha0, NotType1
 from .functional import ALPHA_INF, Alpha, Functional, Subspace, gram, stab
-from .linalg import RatMatrix, Vector
+from .linalg import RatMatrix
 from .poly import pencil_det
 from .sampling import SamplerConfig
 from .spectrum import (
@@ -241,11 +241,11 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
 
-def _tensor_spanners(u: Subspace, w: Subspace) -> list[Vector]:
-    """Spanning vectors x (x) y for x in a basis of u, y in a basis of w."""
+def _tensor_spanners(u: Subspace, w: Subspace) -> list[tuple[int, ...]]:
+    """Spanning vectors x (x) y for x, y the integer rows of u and w."""
     out = []
-    for x in u.basis:
-        for y in w.basis:
+    for x in u.rows:
+        for y in w.rows:
             out.append(tuple(xi * yj for xi in x for yj in y))
     return out
 

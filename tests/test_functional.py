@@ -1,4 +1,5 @@
 import itertools
+import math
 import pickle
 import random
 from fractions import Fraction as Q
@@ -220,8 +221,9 @@ def test_stab_is_the_reduced_basis_of_the_pencil_kernel():
         for f in draws + [Functional(alg, tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(alg.dim)))]:
             for a in alphas + spectrum(f).exact_alphas():
                 s = stab(f, a)
-                want = Subspace(alg, kernel(pencil_at(gram(f), a)))
+                want = Subspace(alg, kernel(pencil_at(gram(f), a))[1])
                 assert (s.basis, s.pivots) == (want.basis, want.pivots), (f, a)
+                assert s == want and hash(s) == hash(want), (f, a)
 
 
 # ---------------------------------------------------------------------------
@@ -480,3 +482,112 @@ def test_subspace_pivots_and_intersection_against_sympy():
     e = [alg.basis_vector(i) for i in range(n)]
     both = Subspace(alg, [e[0], e[1]]).intersect(Subspace(alg, [e[0], e[2]]))
     assert both == Subspace(alg, [e[0]]) and both.pivots == (0,)
+
+
+# a Fraction reference for Subspace: Gauss-Jordan, the residue test and
+# Zassenhaus, all over Q, and products from the rational table
+
+
+def frac_rref(vectors, n):
+    """Nonzero rows of the reduced row echelon form over Q, and their pivots."""
+    rows = [[Q(x) for x in v] for v in vectors]
+    out, pivots = [], []
+    for c in range(n):
+        k = next((i for i, r in enumerate(rows) if r[c] != 0), None)
+        if k is None:
+            continue
+        top = rows.pop(k)
+        top = [x / top[c] for x in top]
+        rows = [[x - r[c] * y for x, y in zip(r, top)] for r in rows]
+        out = [[x - r[c] * y for x, y in zip(r, top)] for r in out] + [top]
+        pivots.append(c)
+    return [tuple(r) for r in out], pivots
+
+
+def frac_contains(basis, pivots, v):
+    x = [Q(a) for a in v]
+    for p, row in zip(pivots, basis):
+        c = x[p]
+        if c != 0:
+            x = [a - c * b for a, b in zip(x, row)]
+    return not any(x)
+
+
+def frac_intersect(u, w, n):
+    rows, pivots = frac_rref([a + a for a in u] + [b + (Q(0),) * n for b in w], 2 * n)
+    return [row[n:] for row, p in zip(rows, pivots) if p >= n]
+
+
+def frac_product(alg, x, y):
+    out = [Q(0)] * alg.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            for k, c in alg.table[i][j]:
+                out[k] += a * b * c
+    return tuple(out)
+
+
+def rescaled(alg, s):
+    """alg in the basis s_i e_i, whose structure constants c s_i s_j / s_k are rational."""
+    n = alg.dim
+    table = [[tuple((k, c * s[i] * s[j] / s[k]) for k, c in alg.table[i][j]) for j in range(n)] for i in range(n)]
+    return Algebra(alg.labels, table)
+
+
+def test_subspace_matches_a_fraction_reference():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    alg = rescaled(ut(3), [Q(1), Q(2), Q(1, 3), Q(-3, 2), Q(1), Q(5, 4)])
+    assert alg.integer_table[0] > 1
+    n = alg.dim
+    entry = st.sampled_from([Q(0), Q(0), Q(0), Q(1), Q(-2), Q(1, 3), Q(-5, 6), Q(7, 4)])
+    vector = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    whole = [alg.basis_vector(i) for i in range(n)]
+    # up to five vectors, zero rows among them, or the whole space
+    spanning = st.one_of(st.lists(vector, max_size=5), st.just(whole), st.just([(Q(0),) * n] * 2))
+    nonzero = st.sampled_from([Q(1), Q(-1), Q(3), Q(2, 7), Q(-9, 4)])
+
+    def integer(v):
+        e = math.lcm(*(x.denominator for x in v))
+        return [int(x * e) for x in v]
+
+    def check_form(space, basis, pivots):
+        assert (space.basis, space.pivots) == (tuple(basis), tuple(pivots))
+        # d is the least common denominator, so the form is canonical
+        assert space.d == math.lcm(*(x.denominator for row in basis for x in row))
+        assert space.rows == tuple(tuple(int(x * space.d) for x in row) for row in basis)
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(us=spanning, ws=spanning, probes=st.lists(vector, max_size=3), data=st.data())
+    def check(us, ws, probes, data):
+        u, w = Subspace(alg, us), Subspace(alg, ws)
+        ub, up = frac_rref(us, n)
+        wb, wp = frac_rref(ws, n)
+        check_form(u, ub, up)
+        check_form(w, wb, wp)
+        # membership of Fraction and of int vectors, inside and outside
+        for v in probes + list(ws) + [tuple(2 * x for x in b) for b in ub]:
+            want = frac_contains(ub, up, v)
+            assert u.contains(v) == want and u.contains(integer(v)) == want, v
+        assert u.contains_subspace(w) == all(frac_contains(ub, up, b) for b in wb)
+        assert u.contains_subspace(u) and u.contains_subspace(Subspace.zero(alg))
+        assert Subspace.whole(alg).contains_subspace(u)
+        cap = u.intersect(w)
+        check_form(cap, *frac_rref(frac_intersect(ub, wb, n), n))
+        prod = subspace_product(u, w)
+        check_form(prod, *frac_rref([frac_product(alg, x, y) for x in ub for y in wb], n))
+        # the same space from another spanning set: scaled and combined rows,
+        # zero rows, in another order
+        other = [tuple(c * x for x in b) for c, b in zip(data.draw(st.lists(nonzero, min_size=len(ub), max_size=len(ub))), ub)]
+        for i, j, c in data.draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5), nonzero), max_size=4)):
+            if other and i % len(other) != j % len(other):
+                i, j = i % len(other), j % len(other)
+                other[i] = tuple(x + c * y for x, y in zip(other[i], other[j]))
+        other = data.draw(st.permutations(other + [(Q(0),) * n] * data.draw(st.integers(0, 2))))
+        again = Subspace(alg, [integer(v) for v in other] if data.draw(st.booleans()) else other)
+        assert again == u and hash(again) == hash(u)
+        assert (again.d, again.rows) == (u.d, u.rows)
+        assert (again == w) == (ub == wb)
+
+    check()

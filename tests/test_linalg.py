@@ -28,6 +28,20 @@ from functal.errors import SingularMatrix
 from functal.poly import MultivariatePoly
 
 
+def view(d, rows):
+    """The Fraction vectors rows / d of an integer form."""
+    return [tuple(Q(x, d) for x in row) for row in rows]
+
+
+def kernel_view(m):
+    return view(*kernel(m))
+
+
+def rref_view(rows):
+    d, reduced, pivots = rref(rows)
+    return view(d, reduced), pivots
+
+
 def cofactor_det(rows):
     # independent oracle: naive expansion along the first row
     n = len(rows)
@@ -90,12 +104,12 @@ def test_ff_det_symbolic_matches_cofactor():
 
 
 def test_kernel_zero_matrix():
-    basis = kernel(RatMatrix.zero(2, 2))
+    _, basis = kernel(RatMatrix.zero(2, 2))
     assert len(basis) == 2
 
 
 def test_kernel_invertible_empty():
-    assert kernel(RatMatrix([[1, 2], [3, 5]])) == []
+    assert kernel(RatMatrix([[1, 2], [3, 5]]))[1] == []
 
 
 def test_kernel_shared_column_matrix():
@@ -109,10 +123,10 @@ def test_kernel_shared_column_matrix():
             [0, 0, 0, 0],
         ]
     )
-    basis = kernel(m)
+    _, basis = kernel(m)
     assert len(basis) == 3
     for target in (vec([1, 0, 0, 0]), vec([0, 1, 0, 0]), vec([0, 0, 0, 1])):
-        reduced, _ = rref(list(basis) + [target])
+        _, reduced, _ = rref(list(basis) + [target])
         assert len(reduced) == 3  # target already in the span
 
 
@@ -122,7 +136,8 @@ def test_kernel_vectors_annihilate_and_rank_nullity():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = RatMatrix([[Q(rng.randint(-4, 4)) for _ in range(cols)] for _ in range(rows)])
-        basis = kernel(m)
+        d, basis = kernel(m)
+        assert d > 0
         for v in basis:
             assert all(x == 0 for x in m.apply(v))
         assert len(basis) + rank(m) == cols
@@ -130,7 +145,7 @@ def test_kernel_vectors_annihilate_and_rank_nullity():
 
 def test_kernel_deterministic_reduced_basis():
     m = RatMatrix([[1, 2, 3], [2, 4, 6]])
-    assert kernel(m) == kernel(RatMatrix([[3, 6, 9], [1, 2, 3]]))
+    assert kernel_view(m) == kernel_view(RatMatrix([[3, 6, 9], [1, 2, 3]]))
 
 
 def test_inverse_and_singular():
@@ -215,14 +230,15 @@ def test_kernel_rank_det_inverse_match_sympy():
 
     for rows in sample_matrices(random.Random(6)):
         m, s = RatMatrix(rows), to_sympy(rows)
-        reduced, pivots = rref(m.data)
+        d, ints, _ = rref(m.data)
+        assert d > 0 and all(type(x) is int for r in ints for x in r)
+        reduced, pivots = rref_view(m.data)
         s_reduced, s_pivots = s.rref()
         assert pivots == s_pivots
         assert [list(r) for r in reduced] == [
             [from_sympy(x) for x in s_reduced.row(i)] for i in range(len(s_pivots))
         ]
-        assert all(type(x) is Q for r in reduced for x in r)
-        assert kernel(m) == [tuple(from_sympy(x) for x in v) for v in s.nullspace()]
+        assert kernel_view(m) == [tuple(from_sympy(x) for x in v) for v in s.nullspace()]
         assert rank(m) == s.rank()
         if m.is_square():
             d = det(m)
@@ -233,17 +249,17 @@ def test_kernel_rank_det_inverse_match_sympy():
             else:
                 inv = s.inv()
                 assert inverse(m) == RatMatrix([[from_sympy(inv[i, j]) for j in range(m.cols)] for i in range(m.rows)])
-    assert rref([]) == ((), ())
-    assert kernel(RatMatrix([])) == [] and rank(RatMatrix([])) == 0
+    assert rref([]) == (1, (), ())
+    assert kernel(RatMatrix([])) == (1, []) and rank(RatMatrix([])) == 0
 
 
 def test_kernel_and_rank_take_integer_rows():
     for rows in sample_matrices(random.Random(7)) + [[], [[], []], [[Q(0)] * 3 for _ in range(2)]]:
         # each row times the lcm of its denominators has the same kernel and rank
         ints = [[int(x * lcm(*(y.denominator for y in row))) for x in row] for row in rows]
-        assert kernel(ints) == kernel(RatMatrix(rows)), rows
+        assert kernel_view(ints) == kernel_view(RatMatrix(rows)), rows
         assert rank(ints) == rank(RatMatrix(rows)), rows
-    assert kernel([[1, 2, 3]]) == [(Q(-2), Q(1), Q(0)), (Q(-3), Q(0), Q(1))]
+    assert kernel([[1, 2, 3]]) == (1, [(-2, 1, 0), (-3, 0, 1)])
 
 
 def stack(matrices):
@@ -314,7 +330,7 @@ def test_rref_depends_only_on_the_row_space():
         for i, j, c in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), nonzero), max_size=2)):
             out.append(tuple(x + c * y for x, y in zip(out[i], out[j])))
         out = data.draw(st.permutations(out))
-        assert rref(out) == rref(rows)
+        assert rref_view(out) == rref_view(rows)
 
     check()
 

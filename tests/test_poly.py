@@ -189,11 +189,11 @@ def _monic_coeffs(sp):
 @pytest.mark.parametrize("route", ["heuristic", "prs"])
 def test_squarefree_decomposition_and_gcd_match_sympy(monkeypatch, route):
     """Both gcd routes against sympy: the heuristic GCD with its PRS
-    fallback (`_gcd`), and the PRS alone (`_prs_gcd`, also put under Yun's
-    loop)."""
+    fallback (`_gcd`), and the PRS alone (`_gcd` with no heuristic try,
+    also under Yun's loop); the cofactors times the gcd give back the inputs."""
     sympy = pytest.importorskip("sympy")
-    gcd = _gcd if route == "heuristic" else _prs_gcd
-    monkeypatch.setattr(poly_module, "_gcd", gcd)
+    if route == "prs":
+        monkeypatch.setattr(poly_module, "_HEU_TRIES", 0)
     x = sympy.Symbol("x")
     rng = random.Random(9)
     for _ in range(60):
@@ -213,7 +213,11 @@ def test_squarefree_decomposition_and_gcd_match_sympy(monkeypatch, route):
         b = [rng.choice([-2, 1, 5]) * c for c in _primitive(q.coeffs)]
         want_gcd = sympy.gcd(_sympy_poly(sympy, a, x), _sympy_poly(sympy, b, x)).primitive()[1]
         want_gcd = [int(c) for c in reversed(want_gcd.all_coeffs())]
-        assert gcd(a, b) == (want_gcd if want_gcd[-1] > 0 else [-c for c in want_gcd])
+        g, qa, qb = _gcd(a, b)
+        assert g == (want_gcd if want_gcd[-1] > 0 else [-c for c in want_gcd])
+        assert _int_mul(g, qa) == a and _int_mul(g, qb) == b
+        if route == "prs":
+            assert _prs_gcd(a, b) == g
 
 
 def _int_mul(a, b):
@@ -247,11 +251,12 @@ def test_heuristic_gcd_of_planted_pairs_checks_every_candidate(monkeypatch):
     for _ in range(400):
         g = small(rng.randint(0, 3))
         a, b = _int_mul(g, small(rng.randint(0, 3))), _int_mul(g, small(rng.randint(0, 3)))
-        assert _gcd(a, b) == _prs_gcd(a, b), (a, b)
+        g, qa, qb = _gcd(a, b)
+        assert g == _prs_gcd(a, b) and _int_mul(g, qa) == a and _int_mul(g, qb) == b, (a, b)
     assert len(rejected) >= 5
 
 
-@pytest.mark.parametrize("gcd", [_gcd, _prs_gcd], ids=["heuristic", "prs"])
+@pytest.mark.parametrize("gcd", [lambda a, b: _gcd(a, b)[0], _prs_gcd], ids=["heuristic", "prs"])
 def test_gcd_edge_cases(gcd):
     assert gcd([-2, -4, -6], []) == [1, 2, 3]
     assert gcd([3], []) == [1]
@@ -264,6 +269,15 @@ def test_gcd_edge_cases(gcd):
     assert gcd([4, 0, -8], [-9, -3]) == [1]
     # a gcd of degree 2 under content 6 and 10
     assert gcd(_int_mul([6, 0, 6], [1, 1]), _int_mul([-10, 0, -10], [2, -1])) == [1, 0, 1]
+
+
+def test_gcd_cofactors_carry_the_contents():
+    assert _gcd([-2, -4, -6], []) == ([1, 2, 3], [-2], [])
+    assert _gcd([3], []) == ([1], [3], [])
+    # (x - 1)(x + 2) and -3 (x - 1)^2
+    assert _gcd([-2, 1, 1], [-3, 6, -3]) == ([-1, 1], [2, 1], [3, -3])
+    # 6 (x^2 + 1)(x + 1) and -10 (x^2 + 1)(2x - 1)
+    assert _gcd(_int_mul([6, 0, 6], [1, 1]), _int_mul([-10, 0, -10], [2, -1])) == ([1, 0, 1], [6, 6], [-20, 10])
 
 
 def test_squarefree_decomposition_planted_property():
