@@ -181,10 +181,7 @@ class Subspace:
     @property
     def basis(self) -> tuple[Vector, ...]:
         if self._basis is None:
-            d = self.d
-            # equal entries share one Fraction, which is immutable
-            frac = {x: Fraction(x, d) for x in {x for row in self.rows for x in row}}
-            self._basis = tuple(tuple(map(frac.__getitem__, row)) for row in self.rows)
+            self._basis = RatMatrix.from_integer_form(self.d, self.rows).data
         return self._basis
 
     @property
