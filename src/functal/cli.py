@@ -45,7 +45,7 @@ from .spectrum import (
     spectrum,
 )
 from .suites import SUITES, run_suite
-from .tensor import conjecture_probe, tensor_char_check, tensor_stab_suite
+from .tensor import conjecture_probe, tensor_char_check, tensor_functional, tensor_stab_suite
 
 ANALYSIS_ERRORS = (NoRegularAlpha0, NotType1, ZeroPolynomial)
 INPUT_ERRORS = (AlgebraParseError, EnvelopeExceeded, NotMatrixAlgebra, OSError, json.JSONDecodeError, ValueError, KeyError)
@@ -334,8 +334,9 @@ def _dispatch(args) -> int:
         alg_b = load_algebra(args.algebra_b)
         f = load_functional(alg_a, args.functional, args.seed)
         g = load_functional(alg_b, args.functional_b, args.seed + 1)
-        chi_rep = tensor_char_check(alg_a, f, alg_b, g, args.tol)
-        stab_rep = tensor_stab_suite(alg_a, f, alg_b, g, args.seed)
+        fg = tensor_functional(ac.tensor_product(alg_a, alg_b), f, g)
+        chi_rep = tensor_char_check(f, g, fg, args.tol)
+        stab_rep = tensor_stab_suite(f, g, fg, args.seed)
         doc = {"chi_check": chi_rep, "stab_suite": stab_rep}
         text = (
             f"chi routes agree: {chi_rep.pass_} (max rel err {chi_rep.max_relative_error})\n"

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from . import algebra as alg_mod
 from .algebra import Algebra
 from .errors import AlgebraMismatch, NotMatrixAlgebra
-from .linalg import RatMatrix, Vector, integer_vector, kernel, rank, rref, vec, vec_dot
+from .linalg import RatMatrix, Vector, integer_vector, is_singular, kernel, rank, rref, vec, vec_dot
 from .scalars import input_rat, rat, rat_str
 
 
@@ -97,6 +97,8 @@ class Functional:
     coords: Vector
     # the pairing matrix, memoised by gram(); not part of the value
     _gram: RatMatrix | None = field(default=None, init=False, repr=False, compare=False)
+    # alpha0 -> whether the pencil is invertible there, memoised by regular_at()
+    _regular: dict[Fraction, bool] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "coords", vec(self.coords))
@@ -276,6 +278,15 @@ def pencil_at(m: RatMatrix, alpha) -> tuple[tuple[int, ...], ...]:
         return ints
     u, v = alpha.value.numerator, alpha.value.denominator
     return tuple(tuple(v * x - u * y for x, y in zip(col, row)) for col, row in zip(zip(*ints), ints))
+
+
+def regular_at(f: Functional, alpha0: Fraction) -> bool:
+    """det(M^T - alpha0*M) != 0; decided once per functional and alpha0."""
+    if f._regular is None:
+        object.__setattr__(f, "_regular", {})
+    if alpha0 not in f._regular:
+        f._regular[alpha0] = not is_singular(pencil_at(gram(f), alpha0))
+    return f._regular[alpha0]
 
 
 def stab(f: Functional, alpha) -> Subspace:

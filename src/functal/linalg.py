@@ -1,20 +1,19 @@
 """Dense exact linear algebra over the rationals.
 
-Matrices are immutable row-major tuples of Fraction entries.  All matrix
-arithmetic runs on the integer form (d, integer rows), one denominator per
-matrix instead of a gcd per entry operation (Knuth, TAOCP 2, 4.5.1), and
-builds one Fraction per distinct value of the result.  Every elimination is
-one fraction-free loop, `_eliminate` (single-step Bareiss, Math. Comp. 22,
-1968), over the integers or over polynomials.  `det` scales the rows to
-integers and returns the signed last pivot over the scale.  `rref` scales the
-rows, eliminates and back-substitutes over the integers; with d the last
-pivot, d times each reduced row is an integer row (Nakos, Turner, Williams,
-SIGSAM Bull. 31, 1997), and `rref` returns that integer form (|d|, rows,
-pivots) with no Fraction in it.  `kernel` returns (d, d times the kernel
-basis) from it, the basis being sympy's `nullspace`, so a given row space
-always produces the same basis; d depends on the rows given.  `det`,
-`kernel` and `rank` take a `RatMatrix` or integer rows, which go into the
-elimination as they are.
+A matrix is held only on its integer form (d, integer rows), one denominator
+per matrix instead of a gcd per entry operation (Knuth, TAOCP 2, 4.5.1); all
+matrix arithmetic runs on it, and its Fraction entries are built only when
+read, for output.  Every elimination is one fraction-free loop, `_eliminate`
+(single-step Bareiss, Math. Comp. 22, 1968), over the integers or over
+polynomials.  `det` eliminates the integer rows and returns the signed last
+pivot, over d^n for a matrix.  `rref` scales the rows, eliminates and
+back-substitutes over the integers; with d the last pivot, d times each
+reduced row is an integer row (Nakos, Turner, Williams, SIGSAM Bull. 31,
+1997), and `rref` returns that integer form (|d|, rows, pivots) with no
+Fraction in it.  `kernel` returns (d, d times the kernel basis) from it, the
+basis being sympy's `nullspace`, so a given row space always produces the
+same basis; d depends on the rows given.  `det`, `kernel` and `rank` take a
+`RatMatrix` or integer rows, which go into the elimination as they are.
 
 Outside that loop, one numpy elimination over word-size primes,
 `_eliminate_mod`, takes a whole stack of matrices at once, so the per-call
@@ -64,41 +63,38 @@ def vec_dot(a: Vector, b: Vector) -> Fraction:
     return sum((x * y for x, y in zip(a, b, strict=True)), Fraction(0))
 
 
-def vec_is_zero(a: Vector) -> bool:
-    return all(x == 0 for x in a)
-
-
 class RatMatrix:
-    """Immutable dense matrix over Fraction; all arithmetic runs on the integer form
-    (d, rows), e.g. A @ B is (dA * dB, the integer product), and equality compares it."""
+    """Immutable dense matrix over Q, held only on its integer form (d, rows):
+    rows is d times the matrix, with d > 0 and gcd(d, every entry) = 1, so one
+    matrix has one form, which equality and hashing compare.  All arithmetic
+    runs on it, e.g. A @ B is (dA * dB, the integer product) reduced by its
+    gcd.  ``data`` is the Fraction view, equal entries sharing one Fraction,
+    built at its first read."""
 
-    __slots__ = ("rows", "cols", "data", "_integer_form")
+    __slots__ = ("rows", "cols", "_integer_form", "_data")
 
     def __init__(self, rows_data: Sequence[Sequence]):
         data = tuple(tuple(rat(x) for x in row) for row in rows_data)
-        self.data: tuple[Vector, ...] = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
-        if any(len(row) != self.cols for row in data):
+        cols = len(data[0]) if data else 0
+        if any(len(row) != cols for row in data):
             raise ValueError("ragged rows")
-        self._integer_form = None
+        # with d the lcm of the reduced denominators, gcd(d, every entry) is 1
+        d = lcm(*(x.denominator for row in data for x in row))
+        self.rows, self.cols, self._data = len(data), cols, data
+        self._integer_form = d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in data)
 
     def integer_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(d, rows of d * self) for d the lcm of the denominators; computed once."""
-        if self._integer_form is None:
-            d = lcm(*(x.denominator for row in self.data for x in row))
-            self._integer_form = d, tuple(tuple(x.numerator * (d // x.denominator) for x in row) for row in self.data)
+        """(d, rows of d * self) for d > 0 the least common denominator."""
         return self._integer_form
 
     @classmethod
     def from_integer_form(cls, d: int, rows: tuple[tuple[int, ...], ...]) -> "RatMatrix":
-        """The matrix rows/d for an integer d > 0, with its integer form kept."""
+        """The matrix rows/d for an integer d > 0 and integer rows, as tuples."""
         g = gcd(d, *(x for row in rows for x in row))
         if g > 1:
             d, rows = d // g, tuple(tuple(x // g for x in row) for row in rows)
-        # equal entries share one Fraction, which is immutable
-        frac = {x: Fraction(x, d) for x in {x for row in rows for x in row}}
-        m = cls([map(frac.__getitem__, row) for row in rows])
+        m = object.__new__(cls)
+        m.rows, m.cols, m._data = len(rows), len(rows[0]) if rows else 0, None
         m._integer_form = d, rows
         return m
 
@@ -110,6 +106,15 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
+    @property
+    def data(self) -> tuple[Vector, ...]:
+        if self._data is None:
+            d, ints = self._integer_form
+            # equal entries share one Fraction, which is immutable
+            frac = {x: Fraction(x, d) for x in {x for row in ints for x in row}}
+            self._data = tuple(tuple(map(frac.__getitem__, row)) for row in ints)
+        return self._data
+
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.data[i][j]
@@ -118,10 +123,10 @@ class RatMatrix:
         return self.data[i]
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, RatMatrix) and self.integer_form() == other.integer_form()
+        return isinstance(other, RatMatrix) and self._integer_form == other._integer_form
 
     def __hash__(self):
-        return hash(self.data)
+        return hash(self._integer_form)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.data)
@@ -131,7 +136,7 @@ class RatMatrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(vec_is_zero(row) for row in self.data)
+        return not any(map(any, self._integer_form[1]))
 
     def transpose(self) -> "RatMatrix":
         d, ints = self.integer_form()
@@ -166,6 +171,14 @@ class RatMatrix:
         d, ints = self.integer_form()
         dv, iv = integer_vector(v)
         return tuple(Fraction(sum(map(operator.mul, u, iv)), d * dv) for u in ints)
+
+
+def float_matrix(m: RatMatrix) -> np.ndarray:
+    """The complex array of the nearest floats x / d to the entries, for m on
+    its integer form (d, rows): int true division is correctly rounded, so
+    each equals float() of the Fraction entry, even past 2**53."""
+    d, ints = m.integer_form()
+    return np.array([[x / d for x in row] for row in ints], dtype=complex)
 
 
 def kron(a: RatMatrix, b: RatMatrix) -> RatMatrix:
@@ -486,8 +499,13 @@ def is_singular(rows: Sequence[Sequence[int]]) -> bool:
 
 
 def det(m: RatMatrix | Sequence[Sequence[int]]) -> Fraction:
-    """Exact determinant of a rational matrix or of integer rows (0x0 gives 1)."""
-    ints, scale = _integer_rows(m.data if isinstance(m, RatMatrix) else m)
+    """Exact determinant of a rational matrix or of integer rows (0x0 gives 1):
+    det(rows) / d^n for a RatMatrix on its integer form (d, rows)."""
+    if isinstance(m, RatMatrix):
+        d, rows = m.integer_form()
+        ints, scale = [list(row) for row in rows], d ** len(rows)
+    else:
+        ints, scale = _integer_rows(m)
     n = len(ints)
     if any(len(row) != n for row in ints):
         raise ValueError("determinant of a non-square matrix")

@@ -35,11 +35,12 @@ from .functional import (
     gram,
     nil,
     pencil_at,
+    regular_at,
     restrict_form,
     stab,
     subspace_product,
 )
-from .linalg import PRIME, ff_det, is_singular, kernel, rank, ranks_mod_p
+from .linalg import PRIME, ff_det, float_matrix, is_singular, kernel, rank, ranks_mod_p
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
@@ -166,8 +167,7 @@ def spectrum(f: Functional) -> SpectrumReport:
             return mult
         if not isinstance(alpha, ComplexApprox):
             return n - rank(pencil_at(gm, alpha))
-        fm = np.array([[complex(x) for x in row] for row in gm.data])
-        return _numeric_kernel_dim(fm, alpha.as_complex())
+        return _numeric_kernel_dim(float_matrix(gm), alpha.as_complex())
 
     entries: list[SpectrumEntry] = []
     if core.degree > 0:
@@ -225,15 +225,15 @@ def find_alpha0(f: Functional, avoid: Alpha) -> Fraction:
     Trying more than dim-many distinct candidates is a complete test: if all
     fail the pencil determinant vanishes identically (the pair is not of
     type 1 at this functional) and callers should pass to the quotient by
-    the nil space first.
+    the nil space first.  Each candidate's verdict is decided once per
+    functional (`regular_at`), however many calls ask.
     """
-    m = gram(f)
     tried = 0
     for cand in _alpha0_candidates(f.algebra.dim):
         if not avoid.is_infinite and avoid.value == cand:
             continue
         tried += 1
-        if not is_singular(pencil_at(m, cand)):
+        if regular_at(f, cand):
             return cand
         if tried > f.algebra.dim + 1:
             break
@@ -264,7 +264,7 @@ def jordan_spaces(f: Functional, alpha, alpha0=None) -> JordanFiltration:
         alpha0 = Fraction(alpha0)
         if not alpha.is_infinite and alpha.value == alpha0:
             raise ValueError("alpha0 must differ from alpha")
-        if is_singular(pencil_at(m, alpha0)):
+        if not regular_at(f, alpha0):
             raise NoRegularAlpha0(f"pencil is singular at alpha0={alpha0}")
     p = pencil_at(m, alpha)
     b = pencil_at(m, alpha0)

@@ -12,14 +12,20 @@ from pathlib import Path
 import pytest
 
 from functal import cli
-from functal.algebra import mat, parse_algebra, serialize_algebra, ut
+from functal.algebra import mat, parse_algebra, serialize_algebra, tensor_product, ut
 from functal.functional import Alpha, stab
 from functal.gallery import INVERTIBLE_B, JORDAN_BLOCK_B, gallery_algebras
 from functal.report import to_json
 from functal.sampling import SamplerConfig, sample_functionals
 from functal.spectrum import classify, index, jordan_spaces, regularity_corollary_suite, spectrum
 from functal.suites import run_suite
-from functal.tensor import conjecture_probe, mat_tensor_index_experiment, tensor_char_check, tensor_stab_suite
+from functal.tensor import (
+    conjecture_probe,
+    mat_tensor_index_experiment,
+    tensor_char_check,
+    tensor_functional,
+    tensor_stab_suite,
+)
 
 # SHA-256 of the stdout of each command, each recorded once before a rewrite
 # it guards (the elimination kernel; the integer chi pipeline, whose spectra
@@ -252,9 +258,10 @@ def _jordan_doc(f, alpha):
 
 
 def _tensor_doc(fa, fb, seed):
+    fg = tensor_functional(tensor_product(fa.algebra, fb.algebra), fa, fb)
     return {
-        "chi_check": to_json(tensor_char_check(fa.algebra, fa, fb.algebra, fb, 1e-6)),
-        "stab_suite": to_json(tensor_stab_suite(fa.algebra, fa, fb.algebra, fb, seed)),
+        "chi_check": to_json(tensor_char_check(fa, fb, fg, 1e-6)),
+        "stab_suite": to_json(tensor_stab_suite(fa, fb, fg, seed)),
     }
 
 

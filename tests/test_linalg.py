@@ -13,6 +13,7 @@ from functal.linalg import (
     _is_prime,
     det,
     ff_det,
+    float_matrix,
     inverse,
     kernel,
     is_singular,
@@ -24,7 +25,9 @@ from functal.linalg import (
     rref,
     vec,
 )
+from functal.algebra import mat
 from functal.errors import SingularMatrix
+from functal.functional import Functional, gram
 from functal.poly import MultivariatePoly
 
 
@@ -408,6 +411,91 @@ def test_matrix_arithmetic_matches_the_entrywise_definition():
     _assert_matrix(one @ one, [[Q(9, 2**180)]])
     _assert_matrix(inverse(one), [[Q(-(2**90), 3)]])
     _assert_matrix(RatMatrix.zero(2, 3).transpose() @ RatMatrix([[Q(1, 7), 2], [0, -1]]), [[Q(0)] * 2 for _ in range(3)])
+
+
+def test_equal_matrices_have_one_form_and_one_hash():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    entries = st.one_of(
+        st.builds(Q, st.integers(-9, 9), st.integers(1, 4)),
+        st.builds(Q, st.integers(-(2**70), 2**70), st.integers(1, 2**70)),
+    )
+
+    @hypothesis.settings(max_examples=100, deadline=None)
+    @hypothesis.given(
+        rows=st.integers(1, 4).flatmap(lambda c: st.lists(st.lists(entries, min_size=c, max_size=c), min_size=1, max_size=4)),
+        k=st.integers(1, 2**40),
+    )
+    def check(rows, k):
+        m = RatMatrix(rows)
+        d, ints = m.integer_form()
+        # the same matrix from any multiple of its integer form
+        scaled = RatMatrix.from_integer_form(k * d, tuple(tuple(k * x for x in row) for row in ints))
+        assert scaled.integer_form() == (d, ints)
+        assert scaled == m and hash(scaled) == hash(m)
+        assert scaled.data == m.data == tuple(map(tuple, rows))
+        other = RatMatrix.from_integer_form(d + 1, ints)
+        assert (other == m) == (not any(map(any, ints)))
+
+    check()
+
+
+def _unbuilt(*ms):
+    return all(m._data is None for m in ms)
+
+
+def test_arithmetic_builds_no_fraction_view():
+    # gram of non-integer coordinates: its form has d > 1
+    f = Functional(mat(2), (Q(1, 2), Q(2, 3), Q(-3), Q(5, 7)))
+    m = gram(f)
+    assert m.integer_form()[0] > 1 and _unbuilt(m)
+    t = m.transpose()
+    prod = m @ t
+    k = kron(m, t)
+    sc = m.scale(Q(-3, 4))
+    inv = inverse(m)
+    total = m + sc - t
+    assert _unbuilt(m, t, prod, k, sc, inv, total)
+    # nor do reading the form, equality, hashing, rank, det, kernel or the float view
+    assert m == gram(Functional(mat(2), f.coords)) and hash(m) == hash(gram(Functional(mat(2), f.coords)))
+    assert rank(m) == 4 and det(m) != 0 and kernel(m)[1] == []
+    float_matrix(m)
+    assert not m.is_zero() and _unbuilt(m, t, prod, k, sc, inv, total)
+    # the view is built at its first read, equal entries sharing one Fraction
+    z = RatMatrix.from_integer_form(3, ((1, 2), (2, 1)))
+    assert z[0, 1] == Q(2, 3) and z.data[0][1] is z.data[1][0]
+
+
+def test_det_of_rational_matrices_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(24)
+    for n in (1, 2, 3, 4, 5, 6, 6, 7):
+        for big in (False, True):
+            hi = 2**70 if big else 9
+            rows = [[Q(rng.randint(-hi, hi), rng.randint(1, hi)) for _ in range(n)] for _ in range(n)]
+            if n > 1 and not big:
+                rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]  # singular
+            want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]).det()
+            got = det(RatMatrix(rows))
+            assert type(got) is Q and got == Q(int(want.p), int(want.q))
+
+
+def test_float_matrix_rounds_each_entry_as_its_fraction_does():
+    # d and the entries past 2**53: converting each to float before dividing
+    # would round twice
+    rng = random.Random(53)
+    seen = 0
+    for _ in range(50):
+        d = rng.randrange(2**53, 2**75)
+        rows = tuple(tuple(rng.randrange(-(2**80), 2**80) for _ in range(4)) for _ in range(3))
+        m = RatMatrix.from_integer_form(d, rows)
+        got = float_matrix(m)
+        assert got.dtype == complex and got.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                assert got[i, j].imag == 0 and got[i, j].real.hex() == float(m[i, j]).hex()
+                seen += float(rows[i][j]) / float(d) != rows[i][j] / d
+    assert seen  # the rounding twice would have differed somewhere
 
 
 def test_ranks_mod_p_of_a_stack_match_exact_ranks():

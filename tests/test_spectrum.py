@@ -19,7 +19,7 @@ from functal.algebra import (
 from functal.errors import EnvelopeExceeded, NoRegularAlpha0, ZeroPolynomial
 from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, nil, pencil_at, stab, trace_functional
 from functal.gallery import gallery_algebras
-from functal.linalg import PRIME, RatMatrix, rank
+from functal.linalg import PRIME, RatMatrix, det, is_singular, rank
 from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly, uni_roots
 from functal.sampling import SamplerConfig, random_functional, sample_functionals
 from functal.scalars import ComplexApprox
@@ -468,6 +468,62 @@ def test_jordan_explicit_singular_base_point_raises():
         with pytest.raises(NoRegularAlpha0):
             jordan_spaces(f, a, alpha0=Q(1))
     assert [s.dim for s in jordan_spaces(f, Q(2), alpha0=Q(3)).levels] == [1, 2]
+
+
+def _first_regular_base_point(f, avoid):
+    """`find_alpha0` with no memo: the first candidate other than avoid whose
+    pencil has a nonzero exact det, or None once dim + 2 have been tried."""
+    tried = 0
+    for cand in spectrum_module._alpha0_candidates(f.algebra.dim):
+        if not avoid.is_infinite and avoid.value == cand:
+            continue
+        tried += 1
+        if det(pencil_at(gram(f), cand)) != 0:
+            return cand
+        if tried > f.algebra.dim + 1:
+            return None
+
+
+def test_find_alpha0_with_its_memo_matches_a_fresh_scan(monkeypatch):
+    # the verdicts differ between functionals, so a memo shared by two would
+    # answer wrongly: some have chi = 0 and no regular base point, and the
+    # others are regular at 0 or singular there
+    rng = random.Random(24)
+    fs = [
+        Functional.from_dict(nilpotent_pair([[0, 0, 1], [0, 0, 1], [0, 0, 0]]), {"w": 1}),
+        trace_functional(mat(2), RatMatrix([[1, 0], [0, 0]])),
+        trace_functional(mat(2), RatMatrix([[1, 0], [0, 2]])),
+        Functional.from_dict(unital_extension(nilpotent_pair(NONDIAG_B)), {"one": 1, "v1": 2, "v2": 3, "v3": 5, "v4": 7, "w": 1}),
+    ] + [rand_functional(alg, rng, lo=-3, hi=3) for alg in (ut(2), ut(3), seaweed([2, 1], [1, 2])) for _ in range(3)]
+    dets = []
+    monkeypatch.setattr("functal.functional.is_singular", lambda rows: dets.append(1) or is_singular(rows))
+    avoids = (Alpha(0), Alpha(2), Alpha(-1), ALPHA_INF)
+
+    def alpha0(f, avoid):
+        try:
+            return spectrum_module.find_alpha0(f, avoid)
+        except NoRegularAlpha0:
+            return None
+
+    for f in fs:
+        for avoid in avoids:
+            # f's memo fills as the avoids change; a copy starts with none
+            want = _first_regular_base_point(f, avoid)
+            assert alpha0(f, avoid) == want == alpha0(Functional(f.algebra, f.coords), avoid), (f, avoid)
+    # asked again, every verdict comes from the memo
+    before = len(dets)
+    assert [alpha0(f, avoid) for f in fs for avoid in avoids] == [
+        _first_regular_base_point(f, avoid) for f in fs for avoid in avoids
+    ]
+    assert len(dets) == before
+    assert {_first_regular_base_point(f, avoid) for f in fs for avoid in avoids} == {None, 0, 2, 3}
+    # an explicit base point shares the verdicts
+    f = fs[3]
+    before = len(dets)
+    with pytest.raises(NoRegularAlpha0):
+        jordan_spaces(f, Q(2), alpha0=Q(1))
+    assert jordan_spaces(f, Q(2), alpha0=Q(0)).alpha0_used == 0
+    assert len(dets) == before + 1  # 1 is new to the memo, 0 is not
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_tensor_char_check_pairs():
     rng = random.Random(4)
     for a, b in ((ut(2), ut(2)), (mat(2), ut(2)), (mat(2), mat(2))):
         f, g = rand_functional(a, rng), rand_functional(b, rng)
-        rep = tensor_char_check(a, f, b, g)
+        rep = tensor_char_check(f, g, tensor_functional(tensor_product(a, b), f, g))
         assert rep.pass_, rep.failing_instance
 
 
@@ -172,7 +172,7 @@ def test_tensor_char_check_zero_functional():
     a = ut(2)
     f = Functional.zero(a)
     g = Functional(a, (Q(1), Q(2), Q(3)))
-    rep = tensor_char_check(a, f, a, g)
+    rep = tensor_char_check(f, g, tensor_functional(tensor_product(a, a), f, g))
     assert rep.pass_
 
 
@@ -184,7 +184,7 @@ def test_tensor_char_check_zero_functional():
 def test_tensor_stab_suite_mat2_ut2():
     f = trace_functional(mat(2), RatMatrix([[1, 0], [0, 2]]))
     g = Functional(ut(2), (Q(3), Q(5), Q(7)))
-    rep = tensor_stab_suite(mat(2), f, ut(2), g)
+    rep = tensor_stab_suite(f, g, tensor_functional(tensor_product(mat(2), ut(2)), f, g))
     assert rep.passed, [c.name for c in rep.checks if not c.passed]
     names = [c.name for c in rep.checks]
     assert any("stab(1) (x) stab(1) in stab(1)" in n for n in names)
@@ -193,10 +193,9 @@ def test_tensor_stab_suite_mat2_ut2():
 def test_tensor_stab_suite_ut2_ut2():
     rng = random.Random(5)
     f, g = rand_functional(ut(2), rng, 1, 20), rand_functional(ut(2), rng, 1, 20)
-    rep = tensor_stab_suite(ut(2), f, ut(2), g)
+    fg = tensor_functional(tensor_product(ut(2), ut(2)), f, g)
+    rep = tensor_stab_suite(f, g, fg)
     assert rep.passed
-    ta = tensor_product(ut(2), ut(2))
-    fg = tensor_functional(ta, f, g)
     one = tuple(x * y for x in ut(2).unity for y in ut(2).unity)
     assert stab(fg, Alpha(1)).contains(one)
 
@@ -204,14 +203,14 @@ def test_tensor_stab_suite_ut2_ut2():
 def test_tensor_vk_suite_runs_where_pencil_regular():
     f = trace_functional(mat(2), RatMatrix([[1, 0], [0, 2]]))
     g = Functional(ut(2), (Q(3), Q(5), Q(7)))
-    rep = tensor_vk_suite(mat(2), f, ut(2), g)
+    rep = tensor_vk_suite(f, g, tensor_functional(tensor_product(mat(2), ut(2)), f, g))
     assert rep.checks and rep.passed
 
 
 def test_tensor_vk_suite_skips_degenerate_products():
     rng = random.Random(6)
     f, g = rand_functional(ut(2), rng, 1, 20), rand_functional(ut(2), rng, 1, 20)
-    rep = tensor_vk_suite(ut(2), f, ut(2), g)
+    rep = tensor_vk_suite(f, g, tensor_functional(tensor_product(ut(2), ut(2)), f, g))
     assert rep.passed  # empty or partial: no failing checks either way
 
 
