@@ -106,10 +106,6 @@ class Functional:
             raise ValueError("functional length does not match algebra dimension")
 
     @classmethod
-    def zero(cls, algebra: Algebra) -> "Functional":
-        return cls(algebra, (Fraction(0),) * algebra.dim)
-
-    @classmethod
     def from_dict(cls, algebra: Algebra, values: Mapping[str, object]) -> "Functional":
         if not isinstance(values, Mapping):
             raise ValueError(f"a functional is an object of label: value pairs, not {values!r}")
@@ -125,10 +121,6 @@ class Functional:
         if self.algebra != other.algebra:
             raise AlgebraMismatch("functionals on different algebras")
         return Functional(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def scale(self, c) -> "Functional":
-        c = rat(c)
-        return Functional(self.algebra, tuple(c * x for x in self.coords))
 
     def to_dict(self) -> dict[str, str]:
         return {l: rat_str(c) for l, c in zip(self.algebra.labels, self.coords)}

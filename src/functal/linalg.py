@@ -98,14 +98,6 @@ class RatMatrix:
         m._integer_form = d, rows
         return m
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)])
-
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def data(self) -> tuple[Vector, ...]:
         if self._data is None:
@@ -118,9 +110,6 @@ class RatMatrix:
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
         return self.data[i][j]
-
-    def row(self, i: int) -> Vector:
-        return self.data[i]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatMatrix) and self._integer_form == other._integer_form
@@ -135,9 +124,6 @@ class RatMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self._integer_form[1]))
-
     def transpose(self) -> "RatMatrix":
         d, ints = self.integer_form()
         return RatMatrix.from_integer_form(d, tuple(zip(*ints)))
@@ -149,9 +135,6 @@ class RatMatrix:
         return RatMatrix.from_integer_form(
             d, tuple(tuple(ea * x + eb * y for x, y in zip(u, w, strict=True)) for u, w in zip(a, b, strict=True))
         )
-
-    def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + other.scale(-1)
 
     def scale(self, c) -> "RatMatrix":
         c = rat(c)

@@ -2,7 +2,10 @@
 
 Multivariate polynomials are dictionaries mapping exponent tuples to nonzero
 Fraction coefficients.  The canonical term order everywhere (serialization,
-leading terms, normalization) is graded lexicographic, descending.
+leading terms, normalization) is graded lexicographic, descending.  Their
+arithmetic is what `linalg.ff_det` runs for `chi --symbolic`: +, - and *
+between polynomials in the same variables, and exact division.  A univariate
+polynomial is only evaluated, made monic and searched for roots.
 
 The two-variable pencil polynomial det(lam*P + mu*Q) has its own subclass
 ``BivariatePoly`` with the fixed variable pair ("lam", "mu"); ``pencil_det``
@@ -66,14 +69,6 @@ class MultivariatePoly:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, variables: Sequence[str], c) -> "MultivariatePoly":
-        c = rat(c)
-        if c == 0:
-            return make_poly(variables, {})
-        zero_exp = (0,) * len(tuple(variables))
-        return make_poly(variables, {zero_exp: c})
-
-    @classmethod
     def variable(cls, variables: Sequence[str], name: str) -> "MultivariatePoly":
         variables = tuple(variables)
         i = variables.index(name)
@@ -101,9 +96,7 @@ class MultivariatePoly:
         if self.variables != other.variables:
             raise ValueError("polynomials over different variable tuples")
 
-    def __add__(self, other):
-        if not isinstance(other, MultivariatePoly):
-            other = MultivariatePoly.constant(self.variables, other)
+    def __add__(self, other: "MultivariatePoly") -> "MultivariatePoly":
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -114,23 +107,13 @@ class MultivariatePoly:
                 terms[e] = s
         return make_poly(self.variables, terms)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return make_poly(self.variables, {e: -c for e, c in self.terms.items()})
 
-    def __sub__(self, other):
-        if not isinstance(other, MultivariatePoly):
-            other = MultivariatePoly.constant(self.variables, other)
+    def __sub__(self, other: "MultivariatePoly") -> "MultivariatePoly":
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, MultivariatePoly):
-            c = rat(other)
-            return make_poly(self.variables, {e: c * v for e, v in self.terms.items()})
+    def __mul__(self, other: "MultivariatePoly") -> "MultivariatePoly":
         self._check(other)
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
@@ -142,20 +125,6 @@ class MultivariatePoly:
                 else:
                     out[e] = s
         return make_poly(self.variables, out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultivariatePoly.constant(self.variables, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
 
     def exact_div(self, other: "MultivariatePoly") -> "MultivariatePoly":
         """Exact quotient self / other; raises if the division is not exact."""
@@ -255,10 +224,6 @@ def make_poly(variables: Sequence[str], terms) -> MultivariatePoly:
     return MultivariatePoly(variables, terms)
 
 
-LAM = BivariatePoly({(1, 0): Fraction(1)})
-MU = BivariatePoly({(0, 1): Fraction(1)})
-
-
 class UnivariatePoly:
     """Dense univariate polynomial over Fraction, coefficients low to high."""
 
@@ -294,43 +259,6 @@ class UnivariatePoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return UnivariatePoly(
-            [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-        )
-
-    def __neg__(self):
-        return UnivariatePoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            c = rat(other)
-            return UnivariatePoly([c * x for x in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return UnivariatePoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UnivariatePoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "UnivariatePoly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = UnivariatePoly([1])
-        for _ in range(n):
-            out = out * self
-        return out
 
     def monic(self) -> "UnivariatePoly":
         if self.is_zero():

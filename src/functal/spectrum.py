@@ -20,7 +20,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import PRIME, ff_det, float_matrix, is_singular, kernel, rank, ranks_mod_p
+from .linalg import PRIME, ff_det, float_matrix, integer_vector, is_singular, kernel, rank, ranks_mod_p
 from .poly import (
     BivariatePoly,
     MultivariatePoly,
@@ -352,8 +352,7 @@ def _pairings_mod_p(alg: Algebra, fs: list[Functional]) -> np.ndarray:
     cells, ks, cs = alg.table_mod_p
     x = np.zeros((len(fs), alg.dim), dtype=np.int64)
     for s, f in enumerate(fs):
-        dx = lcm(*(c.denominator for c in f.coords))
-        x[s] = [c.numerator * (dx // c.denominator) % PRIME for c in f.coords]
+        x[s] = [c % PRIME for c in integer_vector(f.coords)[1]]
     ms = np.zeros((len(fs), alg.dim * alg.dim), dtype=np.int64)
     # each term is below PRIME, so a cell sums 2**32 of them before overflow
     np.add.at(ms, (slice(None), cells), x[:, ks] * cs % PRIME)
@@ -420,10 +419,14 @@ def constant_spectrum_alphas(
     """Exact spectral values present (stab != 0) at every nondegenerate sampled functional.
 
     The first nondegenerate sample's spectrum gives the candidates; each later
-    sample keeps a candidate alpha only if det(M^T - alpha*M) = 0 (det M = 0
-    at infinity).  At a nondegenerate F that is exactly stab(alpha) != 0, 0
+    sample keeps a candidate alpha only if M^T - alpha*M is singular (M at
+    infinity).  At a nondegenerate F that is exactly stab(alpha) != 0, 0
     and infinity included; at a degenerate F every pencil is singular, so it
-    keeps every candidate, as skipping it would.  ``fs`` is as in `find_regular`.
+    keeps every candidate, as skipping it would.  Most candidates are decided
+    by a certificate instead of a determinant: the unity u lies in every
+    stab(1), so (M^T - M) u = 0 at a nonzero declared u proves 1 (a false
+    unity fails the product and takes the determinant), and det M^T = det M
+    decides 0 and infinity together.  ``fs`` is as in `find_regular`.
     """
     fs = iter(sample_functionals(alg, sampler) if fs is None else fs)
     for f in fs:
@@ -433,11 +436,16 @@ def constant_spectrum_alphas(
     else:
         return set()
     common = {e.alpha for e in rep.all_entries() if isinstance(e.alpha, Alpha) and e.stab_dim > 0}
+    one, ends = Alpha(1), {Alpha(0), ALPHA_INF}
+    u = integer_vector(alg.unity)[1] if alg.unity is not None and any(alg.unity) else None
     for f in fs:
         if not common:
             break
         m = gram(f)
-        common = {a for a in common if is_singular(pencil_at(m, a))}
+        kept = common & ends if common & ends and is_singular(m.integer_form()[1]) else set()
+        if one in common and u is not None and not any(sum(map(operator.mul, row, u)) for row in pencil_at(m, one)):
+            kept.add(one)
+        common = kept | {a for a in common - ends - kept if is_singular(pencil_at(m, a))}
     return common
 
 

@@ -29,6 +29,7 @@ from functal.algebra import mat
 from functal.errors import SingularMatrix
 from functal.functional import Functional, gram
 from functal.poly import MultivariatePoly
+from sympy_oracle import expr, poly
 
 
 def view(d, rows):
@@ -65,7 +66,7 @@ def rand_matrix(rng, n, denom=4):
 
 
 def test_det_identity():
-    assert det(RatMatrix.identity(3)) == 1
+    assert det(RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
 
 
 def test_det_0x0_is_one():
@@ -88,6 +89,7 @@ def test_ff_det_matches_cofactor_oracle():
 
 def test_ff_det_symbolic_matches_cofactor():
     # polynomial-entry path of Bareiss vs naive expansion
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(2)
     names = ("x", "y", "z")
     for n in (2, 3):
@@ -102,12 +104,13 @@ def test_ff_det_symbolic_matches_cofactor():
                     terms[tuple(e)] = terms.get(tuple(e), Q(0)) + Q(rng.randint(-3, 3))
                 row.append(MultivariatePoly(names, terms))
             entries.append(row)
-        expected = cofactor_det(entries)
-        assert ff_det(entries) == expected
+        # the expansion runs on sympy expressions, not on the polynomials under test
+        expected = cofactor_det([[expr(e) for e in row] for row in entries])
+        assert ff_det(entries) == poly(sympy.expand(expected), names)
 
 
 def test_kernel_zero_matrix():
-    _, basis = kernel(RatMatrix.zero(2, 2))
+    _, basis = kernel(RatMatrix([[0, 0], [0, 0]]))
     assert len(basis) == 2
 
 
@@ -159,7 +162,7 @@ def test_inverse_and_singular():
             with pytest.raises(SingularMatrix):
                 inverse(m)
         else:
-            assert m @ inverse(m) == RatMatrix.identity(3)
+            assert m @ inverse(m) == RatMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     with pytest.raises(SingularMatrix):
         inverse(RatMatrix([[1, 2], [2, 4]]))
 
@@ -392,12 +395,11 @@ def test_matrix_arithmetic_matches_the_entrywise_definition():
         _assert_matrix(ma.transpose(), [list(col) for col in zip(*a)])
         _assert_matrix(ma.scale(x), [[x * y for y in row] for row in a])
         _assert_matrix(ma + ma2, [[y + z for y, z in zip(u, w)] for u, w in zip(a, a2)])
-        _assert_matrix(ma - ma2, [[y - z for y, z in zip(u, w)] for u, w in zip(a, a2)])
         out = ma.apply(tuple(v))
         assert type(out) is tuple and all(type(y) is Q for y in out)
         assert out == tuple(sum((y * z for y, z in zip(row, v)), Q(0)) for row in a)
         assert (ma == ma2) == (a == a2) and ma == RatMatrix(a) and ma.scale(1) == ma
-        assert (ma == RatMatrix(a).scale(2)) == (ma.is_zero())
+        assert (ma == RatMatrix(a).scale(2)) == (not any(map(any, a)))
         if r == k and det(ma) != 0:
             inv = inverse(ma)
             _assert_matrix(inv, [list(row) for row in inv.data])
@@ -410,7 +412,7 @@ def test_matrix_arithmetic_matches_the_entrywise_definition():
     one = RatMatrix([[Q(-3, 2**90)]])
     _assert_matrix(one @ one, [[Q(9, 2**180)]])
     _assert_matrix(inverse(one), [[Q(-(2**90), 3)]])
-    _assert_matrix(RatMatrix.zero(2, 3).transpose() @ RatMatrix([[Q(1, 7), 2], [0, -1]]), [[Q(0)] * 2 for _ in range(3)])
+    _assert_matrix(RatMatrix([[0, 0, 0], [0, 0, 0]]).transpose() @ RatMatrix([[Q(1, 7), 2], [0, -1]]), [[Q(0)] * 2 for _ in range(3)])
 
 
 def test_equal_matrices_have_one_form_and_one_hash():
@@ -454,13 +456,13 @@ def test_arithmetic_builds_no_fraction_view():
     k = kron(m, t)
     sc = m.scale(Q(-3, 4))
     inv = inverse(m)
-    total = m + sc - t
+    total = m + sc + t
     assert _unbuilt(m, t, prod, k, sc, inv, total)
     # nor do reading the form, equality, hashing, rank, det, kernel or the float view
     assert m == gram(Functional(mat(2), f.coords)) and hash(m) == hash(gram(Functional(mat(2), f.coords)))
     assert rank(m) == 4 and det(m) != 0 and kernel(m)[1] == []
     float_matrix(m)
-    assert not m.is_zero() and _unbuilt(m, t, prod, k, sc, inv, total)
+    assert _unbuilt(m, t, prod, k, sc, inv, total)
     # the view is built at its first read, equal entries sharing one Fraction
     z = RatMatrix.from_integer_form(3, ((1, 2), (2, 1)))
     assert z[0, 1] == Q(2, 3) and z.data[0][1] is z.data[1][0]

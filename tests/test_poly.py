@@ -7,7 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import sympy
+
+sympy = pytest.importorskip("sympy")
 
 from functal.algebra import nilpotent_pair
 from functal.errors import ZeroPolynomial
@@ -15,8 +16,6 @@ from functal.functional import Functional, gram
 from functal import linalg, poly as poly_module
 from functal.linalg import RatMatrix, ff_det
 from functal.poly import (
-    LAM,
-    MU,
     BivariatePoly,
     MultivariatePoly,
     UnivariatePoly,
@@ -29,6 +28,10 @@ from functal.poly import (
     uni_roots,
 )
 from functal.scalars import ComplexApprox
+from sympy_oracle import expr, poly, upoly
+
+X = sympy.Symbol("x")
+LAM, MU = sympy.symbols("lam mu")
 
 
 def rand_poly(rng, names, nterms=5, deg=3):
@@ -39,14 +42,14 @@ def rand_poly(rng, names, nterms=5, deg=3):
     return MultivariatePoly(names, terms)
 
 
-def test_arithmetic_ring_laws():
+def test_arithmetic_matches_sympy():
     rng = random.Random(0)
     names = ("x", "y")
     for _ in range(15):
         p, q, r = (rand_poly(rng, names) for _ in range(3))
-        assert (p + q) * r == p * r + q * r
-        assert p * q == q * p
-        assert p - p == MultivariatePoly(names, {})
+        assert (p + q) * r == poly((expr(p) + expr(q)) * expr(r), names)
+        assert p - q == poly(expr(p) - expr(q), names)
+        assert p - p == -p + p == MultivariatePoly(names, {})
 
 
 def test_canonical_term_order_is_graded_lex_descending():
@@ -71,8 +74,7 @@ def test_exact_div():
 
 def test_to_text():
     names = ("lam", "mu", "E_{1,2}", "one")
-    lam, mu, e12, one = (MultivariatePoly.variable(names, x) for x in names)
-    p = lam**2 * mu * Q(-3, 2) + e12 * one + Q(-7)
+    p = MultivariatePoly(names, {(2, 1, 0, 0): Q(-3, 2), (0, 0, 1, 1): 1, (0, 0, 0, 0): -7})
     assert p.to_text() == "-3/2*lam^2*mu + E_{1,2}*one - 7"
     assert MultivariatePoly(names, {}).to_text() == "0"
 
@@ -87,11 +89,7 @@ def test_text_round_trip():
         text = p.to_text()
         for k, name in enumerate(names):
             text = text.replace(name, f"x{k}")
-        expected = sum(
-            (sympy.Rational(c.numerator, c.denominator) * sympy.prod([x**k for x, k in zip(xs, e)])
-             for e, c in p.terms.items()),
-            sympy.Integer(0),
-        )
+        expected = expr(p).subs(dict(zip(map(sympy.Symbol, names), xs)), simultaneous=True)
         assert sympy.expand(sympy.sympify(text.replace("^", "**")) - expected) == 0
 
 
@@ -110,19 +108,18 @@ def test_proportional_comparison():
     x = MultivariatePoly.variable(("x", "y"), "x")
     y = MultivariatePoly.variable(("x", "y"), "y")
     p = x * x - y
-    assert p.canonical() == (p * Q(-7, 3)).canonical()
+    assert p.canonical() == (p * MultivariatePoly(("x", "y"), {(0, 0): Q(-7, 3)})).canonical()
     assert p.canonical() != (p + x).canonical()
     zero = MultivariatePoly(("x", "y"), {})
     assert zero.canonical() == zero
     assert zero.canonical() != p.canonical()
 
 
-def test_bivariate_closure_and_dehomogenize():
-    p = (LAM + MU) ** 2 * (LAM - MU)
-    assert isinstance(p, BivariatePoly)
-    q = p.dehomogenize()
+def test_dehomogenize():
     # chi(x, -1) for (lam+mu)^2(lam-mu) is (x-1)^2 (x+1)
-    assert q == UnivariatePoly([1, -1, -1, 1])
+    p = poly((LAM + MU) ** 2 * (LAM - MU))
+    assert isinstance(p, BivariatePoly)
+    assert p.dehomogenize() == UnivariatePoly([1, -1, -1, 1])
 
 
 def test_uni_roots_examples():
@@ -151,10 +148,7 @@ def test_uni_roots_multiplicities_and_exactness():
         for _ in range(rng.randint(1, 3)):
             r = Q(rng.randint(-6, 6), rng.randint(1, 4))
             factors.append((r, rng.randint(1, 3)))
-        p = UnivariatePoly([Q(rng.randint(1, 5))])
-        for r, m in factors:
-            for _ in range(m):
-                p = p * UnivariatePoly([-r, 1])
+        p = upoly(rng.randint(1, 5) * sympy.prod([(X - sympy.Rational(r.numerator, r.denominator)) ** m for r, m in factors]), X)
         out = uni_roots(p)
         assert sum(m for _, m in out) == p.degree
         got = {}
@@ -170,7 +164,7 @@ def test_uni_roots_multiplicities_and_exactness():
 
 def test_squarefree_decomposition():
     # x^2 (x-1)^3
-    p = UnivariatePoly([0, 0, 1]) * UnivariatePoly([-1, 1]) ** 3
+    p = UnivariatePoly([0, 0, -1, 3, -3, 1])
     dec = squarefree_decomposition(p)
     assert sorted((f.coeffs, m) for f, m in dec) == sorted(
         [(UnivariatePoly([0, 1]).coeffs, 2), (UnivariatePoly([-1, 1]).coeffs, 3)]
@@ -191,24 +185,24 @@ def test_squarefree_decomposition_and_gcd_match_sympy(monkeypatch, route):
     """Both gcd routes against sympy: the heuristic GCD with its PRS
     fallback (`_gcd`), and the PRS alone (`_gcd` with no heuristic try,
     also under Yun's loop); the cofactors times the gcd give back the inputs."""
-    sympy = pytest.importorskip("sympy")
     if route == "prs":
         monkeypatch.setattr(poly_module, "_HEU_TRIES", 0)
     x = sympy.Symbol("x")
     rng = random.Random(9)
     for _ in range(60):
-        p = UnivariatePoly([Q(rng.randint(-9, 9) or 1, rng.randint(1, 9))])
+        p = _sympy_poly(sympy, [Q(rng.randint(-9, 9) or 1, rng.randint(1, 9))], x)
         for _ in range(rng.randint(1, 4)):
-            f = UnivariatePoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 9)])
+            f = _sympy_poly(sympy, [rng.randint(-9, 9) for _ in range(rng.randint(1, 3))] + [rng.randint(1, 9)], x)
             p = p * f ** rng.randint(1, 4)
+        p = upoly(p, x)
         _, want = _sympy_poly(sympy, p.coeffs, x).sqf_list()
         got = squarefree_decomposition(p)
         assert [(f.coeffs, m) for f, m in got] == [(_monic_coeffs(f), m) for f, m in want]
         # the gcd of p and a product sharing factors with it, both with
         # content and either sign, against sympy's primitive part with
         # leading coefficient > 0
-        q = UnivariatePoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(-9, -1)])
-        q = q * got[0][0] * rng.randint(2, 6)
+        q = _sympy_poly(sympy, [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [rng.randint(-9, -1)], x)
+        q = upoly(q * _sympy_poly(sympy, got[0][0].coeffs, x) * rng.randint(2, 6), x)
         a = [rng.choice([-3, -1, 1, 2]) * c for c in _primitive(p.coeffs)]
         b = [rng.choice([-2, 1, 5]) * c for c in _primitive(q.coeffs)]
         want_gcd = sympy.gcd(_sympy_poly(sympy, a, x), _sympy_poly(sympy, b, x)).primitive()[1]
@@ -299,17 +293,16 @@ def test_squarefree_decomposition_planted_property():
         content=st.fractions().filter(lambda c: c != 0),
     )
     def check(roots, quadratics, k, content):
-        p = UnivariatePoly([content])
-        want: dict[int, UnivariatePoly] = {}
-        factors = [(UnivariatePoly([0, 1]), k)] + [(UnivariatePoly([-r, 1]), m) for r, m in roots.items()]
-        factors += [(UnivariatePoly([c, b, 1]), m) for (b, c), m in quadratics.items()]
+        factors = [([0, 1], k)] + [([-r, 1], m) for r, m in roots.items()]
+        factors += [([c, b, 1], m) for (b, c), m in quadratics.items()]
+        want = {}
         for f, m in factors:
             if m:
-                p = p * f**m
-                want[m] = want.get(m, UnivariatePoly([1])) * f
+                want[m] = want.get(m, 1) * _sympy_poly(sympy, f, X)
+        p = upoly(_sympy_poly(sympy, [content], X) * sympy.prod([f**m for m, f in want.items()]), X)
         got = squarefree_decomposition(p)
         assert [m for _, m in got] == sorted(want)
-        assert {m: f for f, m in got} == want
+        assert {m: f for f, m in got} == {m: upoly(f, X) for m, f in want.items()}
 
     check()
 
@@ -482,7 +475,7 @@ def test_reciprocal_pencil_det_matches_symbolic_bareiss_property():
     def check(m):
         p = RatMatrix(m)
         n = p.rows
-        assert pencil_det(p, p.transpose()) == ff_det([[LAM * p[i, j] + MU * p[j, i] for j in range(n)] for i in range(n)])
+        assert pencil_det(p, p.transpose()) == ff_det([[BivariatePoly({(1, 0): p[i, j], (0, 1): p[j, i]}) for j in range(n)] for i in range(n)])
 
     check()
 
@@ -499,6 +492,10 @@ def companion(p):
     return RatMatrix(rows)
 
 
+def eye(n):
+    return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def generalized_resultant(p, q):
     """prod over root pairs (a of p, b of q) of (lam*a + mu*b), scaled by
     lc(p)^deg(q) * lc(q)^deg(p): the pencil determinant of the Kronecker sum
@@ -507,9 +504,9 @@ def generalized_resultant(p, q):
     scale = p.leading() ** dq * q.leading() ** dp
     if dp == 0 or dq == 0:
         return BivariatePoly({(0, 0): scale})
-    big_p = linalg.kron(companion(p), RatMatrix.identity(dq))
-    big_q = linalg.kron(RatMatrix.identity(dp), companion(q))
-    return pencil_det(big_p, big_q) * scale
+    big_p = linalg.kron(companion(p), eye(dq))
+    big_q = linalg.kron(eye(dp), companion(q))
+    return pencil_det(big_p, big_q) * BivariatePoly({(0, 0): scale})
 
 
 def test_generalized_resultant_linear():
@@ -530,7 +527,7 @@ def test_generalized_resultant_squares():
     p = UnivariatePoly([-1, 0, 1])  # roots 1, -1
     expected = brute_resultant([Q(1), Q(-1)], [Q(1), Q(-1)])
     assert generalized_resultant(p, p) == expected
-    assert expected == (LAM + MU) ** 2 * (LAM - MU) ** 2
+    assert expected == poly((LAM + MU) ** 2 * (LAM - MU) ** 2)
 
 
 def test_generalized_resultant_diag_charpoly():
@@ -539,7 +536,7 @@ def test_generalized_resultant_diag_charpoly():
     expected = brute_resultant([Q(1), Q(2)], [Q(1), Q(2)])
     got = generalized_resultant(p, p)
     assert got == expected
-    alt = Q(2) * (LAM + MU) ** 2 * (LAM + MU * 2) * (LAM * 2 + MU)
+    alt = poly(2 * (LAM + MU) ** 2 * (LAM + 2 * MU) * (2 * LAM + MU))
     assert got == alt
 
 
@@ -547,7 +544,7 @@ def test_generalized_resultant_respects_leading_coefficients():
     # doubling p scales the result by lc^deg(q)
     p = UnivariatePoly([-2, 1])
     q = UnivariatePoly([-3, 1])
-    assert generalized_resultant(p * Q(2), q) == generalized_resultant(p, q) * Q(2)
+    assert generalized_resultant(UnivariatePoly([-4, 2]), q) == generalized_resultant(p, q) * BivariatePoly({(0, 0): 2})
 
 
 def test_generalized_resultant_zero_rejected():
@@ -583,15 +580,12 @@ def test_pencil_det_matches_symbolic_bareiss():
     for n in (1, 2, 3, 4):
         p = RatMatrix([[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)])
         q = RatMatrix([[Q(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)])
-        entries = [
-            [LAM * p[i, j] + MU * q[i, j] for j in range(n)]
-            for i in range(n)
-        ]
+        entries = [[BivariatePoly({(1, 0): p[i, j], (0, 1): q[i, j]}) for j in range(n)] for i in range(n)]
         assert pencil_det(p, q) == ff_det(entries)
 
 
 def test_pencil_det_zero_and_empty():
-    z = RatMatrix.zero(2, 2)
+    z = RatMatrix([[0, 0], [0, 0]])
     assert pencil_det(z, z).is_zero()
     assert pencil_det(RatMatrix([]), RatMatrix([])) == BivariatePoly({(0, 0): Q(1)})
 
@@ -611,7 +605,7 @@ def rational_roots(p):
 
 def test_rational_roots_edge_cases():
     # a_n = 36 rules out q = 2 and q = 3; 1/6 and 31/6 collide mod 5, so q = 7
-    p = UnivariatePoly([-1, 6]) * UnivariatePoly([-31, 6])
+    p = UnivariatePoly([31, -192, 36])  # (6x - 1)(6x - 31)
     assert rational_roots(p) == {Q(1, 6): 1, Q(31, 6): 1}
     # a factor x^k
     p = UnivariatePoly([0, 0, 0, -3, 2])
@@ -620,7 +614,8 @@ def test_rational_roots_edge_cases():
     # degree 1
     assert uni_roots(UnivariatePoly([3, 7])) == [(Q(-3, 7), 1)]
     # non-integer coefficients
-    p = (UnivariatePoly([Q(-1, 2), 1]) * UnivariatePoly([Q(2, 3), 1]) * UnivariatePoly([Q(1, 5), 0, 1])) * Q(5, 7)
+    rational = sympy.Rational
+    p = upoly(rational(5, 7) * (X - rational(1, 2)) * (X + rational(2, 3)) * (X**2 + rational(1, 5)), X)
     assert rational_roots(p) == {Q(1, 2): 1, Q(-2, 3): 1}
 
 
@@ -647,32 +642,24 @@ def test_rational_roots_planted_property():
         for i, k, m in shifts:
             r = roots[i % len(roots)]
             roots = roots + [r + m * k]
-        p = UnivariatePoly([content])
         want = {}
         for r in roots:
-            p = p * UnivariatePoly([-r.numerator, r.denominator])
             want[r] = want.get(r, 0) + 1
-        for b, c in quadratics:
-            p = p * UnivariatePoly([c, b, 1])
-        assert rational_roots(p) == want
+        factors = [[content]] + [[-r.numerator, r.denominator] for r in roots] + [[c, b, 1] for b, c in quadratics]
+        assert rational_roots(upoly(sympy.prod([_sympy_poly(sympy, f, X) for f in factors]), X)) == want
 
     check()
 
 
 def test_rational_roots_match_sympy():
-    sympy = pytest.importorskip("sympy")
-    x = sympy.Symbol("x")
     rng = random.Random(8)
     for _ in range(40):
-        p = UnivariatePoly([1])
+        p = sympy.Integer(1)
         for _ in range(rng.randint(1, 4)):
             deg = rng.randint(1, 3)
-            p = p * UnivariatePoly([rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 30)])
-        want = {
-            Q(int(r.p), int(r.q)): m
-            for r, m in sympy.Poly([int(c) for c in reversed(p.coeffs)], x).ground_roots().items()
-        }
-        assert rational_roots(p) == want
+            p *= _sympy_poly(sympy, [rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 30)], X).as_expr()
+        want = {Q(int(r.p), int(r.q)): m for r, m in sympy.Poly(p, X).ground_roots().items()}
+        assert rational_roots(upoly(p, X)) == want
 
 
 def test_worst_case_spectrum_report_unchanged(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from functal.algebra import (
+    Algebra,
     direct_sum,
     mat,
     nilpotent_pair,
@@ -20,7 +21,7 @@ from functal.errors import EnvelopeExceeded, NoRegularAlpha0, ZeroPolynomial
 from functal.functional import ALPHA_INF, Alpha, Functional, Subspace, gram, nil, pencil_at, stab, trace_functional
 from functal.gallery import gallery_algebras
 from functal.linalg import PRIME, RatMatrix, det, is_singular, rank
-from functal.poly import LAM, MU, BivariatePoly, MultivariatePoly, uni_roots
+from functal.poly import BivariatePoly, uni_roots
 from functal.sampling import SamplerConfig, random_functional, sample_functionals
 from functal.scalars import ComplexApprox
 from functal.spectrum import (
@@ -35,6 +36,7 @@ from functal.spectrum import (
     regularity_corollary_suite,
     spectrum,
 )
+from sympy_oracle import poly
 
 # the module, which the package's `spectrum` function shadows
 spectrum_module = importlib.import_module("functal.spectrum")
@@ -50,6 +52,15 @@ def sym_vars(alg):
     return ("lam", "mu") + alg.labels
 
 
+def symbols(names=("lam", "mu")):
+    sympy = pytest.importorskip("sympy")
+    return [sympy.Symbol(v) for v in names]
+
+
+def scaled(f, c):
+    return Functional(f.algebra, tuple(c * x for x in f.coords))
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomials
 # ---------------------------------------------------------------------------
@@ -57,22 +68,24 @@ def sym_vars(alg):
 
 def test_char_poly_ut2_all_ones():
     f = Functional(ut(2), (Q(1), Q(1), Q(1)))
-    expected = Q(-2) * LAM * MU * (LAM + MU)
+    lam, mu = symbols()
+    expected = poly(-2 * lam * mu * (lam + mu))
     assert char_poly_raw(f) == expected
     assert char_poly(f) == expected.canonical()
 
 
 def test_char_poly_zero_functional():
-    assert char_poly(Functional.zero(ut(2))).is_zero()
+    assert char_poly(Functional(ut(2), (0, 0, 0))).is_zero()
 
 
 def test_char_poly_mat2_diag12():
     f = trace_functional(mat(2), RatMatrix([[1, 0], [0, 2]]))
-    expected = Q(-2) * (LAM + MU) ** 2 * (Q(2) * (LAM - MU) ** 2 + Q(9) * LAM * MU)
+    lam, mu = symbols()
+    expected = poly(-2 * (lam + mu) ** 2 * (2 * (lam - mu) ** 2 + 9 * lam * mu))
     assert char_poly(f) == expected.canonical()
     # independent oracle: expand the 4x4 pencil determinant by cofactors
     m = gram(f)
-    entries = [[LAM * m[i, j] + MU * m[j, i] for j in range(4)] for i in range(4)]
+    entries = [[BivariatePoly({(1, 0): m[i, j], (0, 1): m[j, i]}) for j in range(4)] for i in range(4)]
 
     def cof(rows):
         if len(rows) == 1:
@@ -92,32 +105,30 @@ def test_char_poly_restricted_to_subspace():
     f = trace_functional(m2, RatMatrix([[1, 0], [0, 2]]))
     v = Subspace(m2, [m2.basis_vector(0), m2.basis_vector(3)])  # diagonal units
     chi = char_poly_raw(f, v)
-    assert chi == Q(2) * (LAM + MU) ** 2
+    lam, mu = symbols()
+    assert chi == poly(2 * (lam + mu) ** 2)
 
 
 def test_char_poly_symbolic_mat2():
     m2 = mat(2)
     chi = char_poly_symbolic(m2)
-    v = sym_vars(m2)
-    lam, mu, a, b, c, d = (MultivariatePoly.variable(v, x) for x in v)
+    lam, mu, a, b, c, d = symbols(sym_vars(m2))
     expected = -((lam + mu) ** 2) * (a * d - b * c) * ((lam - mu) ** 2 * (a * d - b * c) + lam * mu * (a + d) ** 2)
-    assert chi == expected
+    assert chi == poly(expected, sym_vars(m2))
 
 
 def test_char_poly_symbolic_seaweed_12_21():
     sw = seaweed([1, 2], [2, 1])
     chi = char_poly_symbolic(sw)
-    v = sym_vars(sw)
-    lam, mu, a, b, c, d, e = (MultivariatePoly.variable(v, x) for x in v)
-    assert chi == lam**2 * mu**2 * (lam + mu) * b**2 * d**2 * (a + c + e)
+    lam, mu, a, b, c, d, e = symbols(sym_vars(sw))
+    assert chi == poly(lam**2 * mu**2 * (lam + mu) * b**2 * d**2 * (a + c + e), sym_vars(sw))
 
 
 def test_char_poly_symbolic_ut2():
     u2 = ut(2)
     chi = char_poly_symbolic(u2)
-    v = sym_vars(u2)
-    lam, mu, a, b, c = (MultivariatePoly.variable(v, x) for x in v)
-    assert chi == -lam * mu * b**2 * (lam + mu) * (a + c)
+    lam, mu, a, b, c = symbols(sym_vars(u2))
+    assert chi == poly(-lam * mu * b**2 * (lam + mu) * (a + c), sym_vars(u2))
 
 
 def test_char_poly_symbolic_envelope():
@@ -566,7 +577,8 @@ def test_classify_shared_column_b_is_type2():
 
     v = canonical_complement(nil(f))
     chi = char_poly_raw(f, v)
-    assert chi == -(LAM * MU)
+    lam, mu = symbols()
+    assert chi == poly(-lam * mu)
 
 
 def test_classify_deterministic():
@@ -616,12 +628,12 @@ def test_samples_misjudged_mod_p_fall_back_to_the_exact_dimensions(monkeypatch, 
     plain = ([first(alg)] if first else []) + sample_functionals(alg, cfg)
     monkeypatch.setattr(spectrum_module, "sample_functionals", lambda *_: plain)
     want_index, want_type = index(alg, cfg), classify(alg, cfg)
-    monkeypatch.setattr(spectrum_module, "sample_functionals", lambda *_: [f.scale(PRIME) for f in plain])
+    monkeypatch.setattr(spectrum_module, "sample_functionals", lambda *_: [scaled(f, PRIME) for f in plain])
     got_index, got_type = index(alg, cfg), classify(alg, cfg)
     assert got_index.value == want_index.value == min(stab(f, Alpha(1)).dim for f in plain)
-    assert got_index.witness == want_index.witness.scale(PRIME)
+    assert got_index.witness == scaled(want_index.witness, PRIME)
     assert (got_type.verdict, got_type.min_nil_dim) == (want_type.verdict, want_type.min_nil_dim)
-    assert got_type.witnesses == tuple(w.scale(PRIME) for w in want_type.witnesses)
+    assert got_type.witnesses == tuple(scaled(w, PRIME) for w in want_type.witnesses)
 
 
 def counted(monkeypatch, name):
@@ -747,6 +759,33 @@ def test_constant_spectrum_alphas_named_cases(name, seed, samples, degenerate, e
     got = constant_spectrum_alphas(alg, cfg)
     assert {str(a) for a in got} == expected
     assert got == intersected_spectra(alg, cfg)
+
+
+@pytest.mark.parametrize("unity", [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)])
+def test_constant_spectrum_alphas_checks_the_declared_unity(monkeypatch, unity):
+    # mat(2) with its unity and with a false one: u = 0 certifies nothing, and
+    # (M^T - M) u != 0 for the others, so alpha = 1 takes the determinant of
+    # the skew pencil M^T - M at every later sample; the true unity needs none
+    calls = counted(monkeypatch, "is_singular")
+    skew = {}
+    for alg in (mat(2), Algebra(mat(2).labels, mat(2).table, unity)):
+        calls.clear()
+        for seed in range(10):
+            cfg = SamplerConfig(seed=seed, samples=8)
+            assert constant_spectrum_alphas(alg, cfg) == intersected_spectra(alg, cfg), seed
+        skew[alg.unity] = sum(rows == tuple(tuple(-x for x in col) for col in zip(*rows)) for (rows,) in calls)
+    assert list(skew.values()) == [0, 70]
+
+
+def test_constant_spectrum_alphas_decides_zero_and_infinity_by_one_determinant(monkeypatch):
+    # 0 and inf are in every spectrum on ut(2); det M^T = det M, so each later
+    # sample takes one singularity test of M for both
+    alg, cfg = ut(2), SamplerConfig(seed=0, samples=8)
+    fs = sample_functionals(alg, cfg)
+    calls = counted(monkeypatch, "is_singular")
+    assert {Alpha(0), ALPHA_INF} <= constant_spectrum_alphas(alg, cfg, fs) == intersected_spectra(alg, cfg)
+    ends = [(m, tuple(zip(*m))) for m in (gram(f).integer_form()[1] for f in fs)]
+    assert [sum(rows in pair for (rows,) in calls) for pair in ends] == [0] + [1] * 7
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from functal.algebra import direct_sum, mat, nilpotent_pair, tensor_product, uni
 from functal.errors import AlgebraMismatch, DegeneratePencil, NotType1
 from functal.functional import Alpha, Functional, gram, stab, trace_functional
 from functal.linalg import RatMatrix, det, inverse, kron
-from functal.poly import LAM, MU
+from functal.poly import pencil_det
 from functal.sampling import SamplerConfig
 from functal.spectrum import index
 from functal.tensor import (
@@ -21,6 +21,7 @@ from functal.tensor import (
     tensor_stab_suite,
     tensor_vk_suite,
 )
+from sympy_oracle import poly
 
 # symmetric invertible coefficients: the unital extension has index 1
 SYM_B = [[2, 1], [1, 3]]
@@ -28,6 +29,10 @@ SYM_B = [[2, 1], [1, 3]]
 
 def rand_matrix(rng, n, lo=-5, hi=5):
     return RatMatrix([[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)])
+
+
+def eye(n):
+    return RatMatrix([[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def rand_functional(alg, rng, lo=-20, hi=20):
@@ -40,7 +45,7 @@ def rand_functional(alg, rng, lo=-20, hi=20):
 
 
 def test_kron_identity():
-    assert kron(RatMatrix.identity(2), RatMatrix.identity(3)) == RatMatrix.identity(6)
+    assert kron(eye(2), eye(3)) == eye(6)
 
 
 def test_kron_mixed_product_and_inverse():
@@ -50,7 +55,7 @@ def test_kron_mixed_product_and_inverse():
         b, d = rand_matrix(rng, 3), rand_matrix(rng, 3)
         assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
         if det(a) != 0 and det(b) != 0:
-            assert kron(a, b) @ kron(inverse(a), inverse(b)) == RatMatrix.identity(6)
+            assert kron(a, b) @ kron(inverse(a), inverse(b)) == eye(6)
 
 
 def test_det_kron_identity_random():
@@ -62,9 +67,9 @@ def test_det_kron_identity_random():
 
 
 def test_swap_matrix_basics():
-    assert kronecker_swap_matrix(1, 1) == RatMatrix.identity(1)
+    assert kronecker_swap_matrix(1, 1) == eye(1)
     u = kronecker_swap_matrix(2, 2)
-    assert u @ u == RatMatrix.identity(4)
+    assert u @ u == eye(4)
     with pytest.raises(ValueError):
         kronecker_swap_matrix(0, 1)
 
@@ -84,28 +89,25 @@ def test_swap_matrix_conjugates():
 
 
 def test_cayley_identity_matrices():
-    i2 = RatMatrix.identity(2)
+    i2 = eye(2)
     rep = extended_cayley_check(i2, i2, i2, i2)
     assert rep.pass_
     # both sides are (lam + mu)^4; check the left side explicitly
-    from functal.poly import pencil_det
-
-    assert pencil_det(kron(i2, i2), kron(i2, i2)) == (LAM + MU) ** 4
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    assert pencil_det(kron(i2, i2), kron(i2, i2)) == poly((lam + mu) ** 4)
 
 
 def test_cayley_diagonal_example():
-    i2 = RatMatrix.identity(2)
+    i2 = eye(2)
     b = RatMatrix([[2, 0], [0, 3]])
     d = RatMatrix([[5, 0], [0, 7]])
     rep = extended_cayley_check(i2, b, i2, d, tolerance=1e-9)
     assert rep.pass_
-    from functal.poly import BivariatePoly, pencil_det
-
-    expected = BivariatePoly({(0, 0): Q(1)})
-    for g in (2, 3):
-        for e in (5, 7):
-            expected = expected * (LAM + Q(g * e) * MU)
-    assert pencil_det(kron(i2, i2), kron(b, d)) == expected
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    expected = sympy.prod([lam + g * e * mu for g in (2, 3) for e in (5, 7)])
+    assert pencil_det(kron(i2, i2), kron(b, d)) == poly(expected)
 
 
 def test_cayley_batch_30():
@@ -118,8 +120,6 @@ def test_cayley_evaluation_matches_the_exact_left_side():
     # the right side, recovered by FFT from nm + 1 float determinants on the
     # unit circle, must equal the exact det(lam A(x)C + mu B(x)D) to rounding;
     # every third A is singular, so chi loses lam-degree and D^(n-k) counts
-    from functal.poly import pencil_det
-
     rng = random.Random(11)
     checked = 0
     while checked < 40:
@@ -137,7 +137,7 @@ def test_cayley_evaluation_matches_the_exact_left_side():
 def test_cayley_rejects_degenerate_pencil():
     n = RatMatrix([[0, 1], [0, 0]])
     with pytest.raises(DegeneratePencil):
-        extended_cayley_check(n, n, RatMatrix.identity(2), RatMatrix.identity(2))
+        extended_cayley_check(n, n, eye(2), eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +154,7 @@ def test_tensor_functional_values():
     one = tuple(x * y for x in a.unity for y in b.unity)
     assert fg(one) == f(a.unity) * g(b.unity)
     assert gram(fg) == kron(gram(f), gram(g))
-    zero = tensor_functional(ta, Functional.zero(a), g)
+    zero = tensor_functional(ta, Functional(a, (0,) * a.dim), g)
     assert all(c == 0 for c in zero.coords)
     with pytest.raises(AlgebraMismatch):
         tensor_functional(ut(3), f, g)
@@ -170,7 +170,7 @@ def test_tensor_char_check_pairs():
 
 def test_tensor_char_check_zero_functional():
     a = ut(2)
-    f = Functional.zero(a)
+    f = Functional(a, (0,) * a.dim)
     g = Functional(a, (Q(1), Q(2), Q(3)))
     rep = tensor_char_check(f, g, tensor_functional(tensor_product(a, a), f, g))
     assert rep.pass_
