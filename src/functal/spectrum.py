@@ -422,11 +422,9 @@ def constant_spectrum_alphas(
     sample keeps a candidate alpha only if M^T - alpha*M is singular (M at
     infinity).  At a nondegenerate F that is exactly stab(alpha) != 0, 0
     and infinity included; at a degenerate F every pencil is singular, so it
-    keeps every candidate, as skipping it would.  Most candidates are decided
-    by a certificate instead of a determinant: the unity u lies in every
-    stab(1), so (M^T - M) u = 0 at a nonzero declared u proves 1 (a false
-    unity fails the product and takes the determinant), and det M^T = det M
-    decides 0 and infinity together.  ``fs`` is as in `find_regular`.
+    keeps every candidate, as skipping it would.  As det M^T = det M, one
+    singularity test of M decides 0 and infinity together.  ``fs`` is as in
+    `find_regular`.
     """
     fs = iter(sample_functionals(alg, sampler) if fs is None else fs)
     for f in fs:
@@ -436,16 +434,13 @@ def constant_spectrum_alphas(
     else:
         return set()
     common = {e.alpha for e in rep.all_entries() if isinstance(e.alpha, Alpha) and e.stab_dim > 0}
-    one, ends = Alpha(1), {Alpha(0), ALPHA_INF}
-    u = integer_vector(alg.unity)[1] if alg.unity is not None and any(alg.unity) else None
+    ends = {Alpha(0), ALPHA_INF}
     for f in fs:
         if not common:
             break
         m = gram(f)
         kept = common & ends if common & ends and is_singular(m.integer_form()[1]) else set()
-        if one in common and u is not None and not any(sum(map(operator.mul, row, u)) for row in pencil_at(m, one)):
-            kept.add(one)
-        common = kept | {a for a in common - ends - kept if is_singular(pencil_at(m, a))}
+        common = kept | {a for a in common - ends if is_singular(pencil_at(m, a))}
     return common
 
 

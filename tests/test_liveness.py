@@ -7,12 +7,14 @@ fails the test until it leaves the table.  The commands cover every verb,
 the six suites at seed 0, text and JSON output, files read and written, and
 exit codes 0, 1 and 2."""
 
+import ast
 import contextlib
 import io
 import json
 import sys
 import types
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
@@ -78,22 +80,30 @@ def commands(tmp: Path) -> list[tuple[list[str], int]]:
     ]
 
 
-def key(code: types.CodeType) -> tuple[str, int, str]:
-    return Path(code.co_filename).name, code.co_firstlineno, code.co_qualname
+def key(code: types.CodeType) -> tuple[str, int]:
+    return Path(code.co_filename).name, code.co_firstlineno
 
 
-def definitions() -> dict[tuple[str, int, str], str]:
-    """{(file, first line, qualified name): name} of every def in src/functal,
-    read from the code objects its modules compile to."""
-    out = {}
-    stack = [compile(p.read_text(), str(p), "exec") for p in sorted(SRC.glob("*.py"))]
-    while stack:
-        code = stack.pop()
-        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
-        # CO_OPTIMIZED leaves out module and class bodies; "<" lambdas and comprehensions
-        if code.co_flags & 0x1 and not code.co_name.startswith("<"):
-            out[key(code)] = code.co_name
-    return out
+def qualnames(node: ast.AST, prefix: str = "") -> Iterator[tuple[int, str]]:
+    """(first line, qualified name) of every def below ``node``; the first
+    line is that of its first decorator, as in the code object it compiles to."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from qualnames(child, f"{prefix}{child.name}.")
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield min([child.lineno] + [d.lineno for d in child.decorator_list]), prefix + child.name
+            yield from qualnames(child, f"{prefix}{child.name}.<locals>.")
+        else:
+            yield from qualnames(child, prefix)
+
+
+def definitions() -> dict[tuple[str, int], str]:
+    """{(file, first line): qualified name} of every def in src/functal."""
+    return {
+        (p.name, line): qualname
+        for p in sorted(SRC.glob("*.py"))
+        for line, qualname in qualnames(ast.parse(p.read_text()))
+    }
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +132,10 @@ def profiled(tmp_path_factory):
                 codes.append(cli.run(["--seed", "0", *argv]))
     finally:
         sys.setprofile(previous)
-    return list(expected), codes, {key(c) for c in seen.values() if Path(c.co_filename).parent == SRC}
+    # "<" names the lambdas, comprehensions and module bodies, which are no defs
+    return list(expected), codes, {
+        key(c) for c in seen.values() if Path(c.co_filename).parent == SRC and not c.co_name.startswith("<")
+    }
 
 
 def test_every_command_exits_as_expected(profiled):
@@ -134,13 +147,14 @@ def test_every_def_runs(profiled):
     _, _, ran = profiled
     idle = {
         f"{file}:{line} {qualname}"
-        for (file, line, qualname), name in definitions().items()
-        if (file, line, qualname) not in ran and name not in EXEMPT and qualname not in ALLOWED
+        for (file, line), qualname in definitions().items()
+        if (file, line) not in ran and qualname.rpartition(".")[2] not in EXEMPT and qualname not in ALLOWED
     }
     assert idle == set()
 
 
 def test_every_allowed_def_exists_and_never_runs(profiled):
     _, _, ran = profiled
-    assert set(ALLOWED) <= {qualname for _, _, qualname in definitions()}
-    assert {qualname for _, _, qualname in ran} & set(ALLOWED) == set()
+    defs = definitions()
+    assert set(ALLOWED) <= set(defs.values())
+    assert {defs[k] for k in ran if k in defs} & set(ALLOWED) == set()

@@ -8,8 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sympy = pytest.importorskip("sympy")
-
 from functal.algebra import nilpotent_pair
 from functal.errors import ZeroPolynomial
 from functal.functional import Functional, gram
@@ -30,9 +28,6 @@ from functal.poly import (
 from functal.scalars import ComplexApprox
 from sympy_oracle import expr, poly, upoly
 
-X = sympy.Symbol("x")
-LAM, MU = sympy.symbols("lam mu")
-
 
 def rand_poly(rng, names, nterms=5, deg=3):
     terms = {}
@@ -48,6 +43,7 @@ def test_arithmetic_matches_sympy():
     for _ in range(15):
         p, q, r = (rand_poly(rng, names) for _ in range(3))
         assert (p + q) * r == poly((expr(p) + expr(q)) * expr(r), names)
+        assert p * q == q * p
         assert p - q == poly(expr(p) - expr(q), names)
         assert p - p == -p + p == MultivariatePoly(names, {})
 
@@ -80,6 +76,7 @@ def test_to_text():
 
 
 def test_text_round_trip():
+    sympy = pytest.importorskip("sympy")
     # read to_text back through sympy, with each variable renamed to a plain symbol
     rng = random.Random(2)
     names = ("lam", "mu", "E_{1,2}", "one")
@@ -117,6 +114,7 @@ def test_proportional_comparison():
 
 def test_dehomogenize():
     # chi(x, -1) for (lam+mu)^2(lam-mu) is (x-1)^2 (x+1)
+    LAM, MU = pytest.importorskip("sympy").symbols("lam mu")
     p = poly((LAM + MU) ** 2 * (LAM - MU))
     assert isinstance(p, BivariatePoly)
     assert p.dehomogenize() == UnivariatePoly([1, -1, -1, 1])
@@ -141,6 +139,8 @@ def test_uni_roots_rejects_zero():
 
 
 def test_uni_roots_multiplicities_and_exactness():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
     rng = random.Random(4)
     for _ in range(15):
         # build from known factors, then recover
@@ -185,6 +185,7 @@ def test_squarefree_decomposition_and_gcd_match_sympy(monkeypatch, route):
     """Both gcd routes against sympy: the heuristic GCD with its PRS
     fallback (`_gcd`), and the PRS alone (`_gcd` with no heuristic try,
     also under Yun's loop); the cofactors times the gcd give back the inputs."""
+    sympy = pytest.importorskip("sympy")
     if route == "prs":
         monkeypatch.setattr(poly_module, "_HEU_TRIES", 0)
     x = sympy.Symbol("x")
@@ -277,6 +278,8 @@ def test_gcd_cofactors_carry_the_contents():
 def test_squarefree_decomposition_planted_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
 
     rationals = st.builds(Q, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**6))
     # an irreducible quadratic x^2 + b x + c has b^2 < 4c
@@ -526,6 +529,7 @@ def brute_resultant(roots_p, roots_q):
 def test_generalized_resultant_squares():
     p = UnivariatePoly([-1, 0, 1])  # roots 1, -1
     expected = brute_resultant([Q(1), Q(-1)], [Q(1), Q(-1)])
+    LAM, MU = pytest.importorskip("sympy").symbols("lam mu")
     assert generalized_resultant(p, p) == expected
     assert expected == poly((LAM + MU) ** 2 * (LAM - MU) ** 2)
 
@@ -536,6 +540,7 @@ def test_generalized_resultant_diag_charpoly():
     expected = brute_resultant([Q(1), Q(2)], [Q(1), Q(2)])
     got = generalized_resultant(p, p)
     assert got == expected
+    LAM, MU = pytest.importorskip("sympy").symbols("lam mu")
     alt = poly(2 * (LAM + MU) ** 2 * (LAM + 2 * MU) * (2 * LAM + MU))
     assert got == alt
 
@@ -614,7 +619,8 @@ def test_rational_roots_edge_cases():
     # degree 1
     assert uni_roots(UnivariatePoly([3, 7])) == [(Q(-3, 7), 1)]
     # non-integer coefficients
-    rational = sympy.Rational
+    sympy = pytest.importorskip("sympy")
+    X, rational = sympy.Symbol("x"), sympy.Rational
     p = upoly(rational(5, 7) * (X - rational(1, 2)) * (X + rational(2, 3)) * (X**2 + rational(1, 5)), X)
     assert rational_roots(p) == {Q(1, 2): 1, Q(-2, 3): 1}
 
@@ -622,6 +628,8 @@ def test_rational_roots_edge_cases():
 def test_rational_roots_planted_property():
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
 
     big = 10**12
     rationals = st.builds(Q, st.integers(-big, big), st.integers(1, big))
@@ -652,6 +660,8 @@ def test_rational_roots_planted_property():
 
 
 def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    X = sympy.Symbol("x")
     rng = random.Random(8)
     for _ in range(40):
         p = sympy.Integer(1)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from functal.algebra import (
-    Algebra,
     direct_sum,
     mat,
     nilpotent_pair,
@@ -759,22 +758,6 @@ def test_constant_spectrum_alphas_named_cases(name, seed, samples, degenerate, e
     got = constant_spectrum_alphas(alg, cfg)
     assert {str(a) for a in got} == expected
     assert got == intersected_spectra(alg, cfg)
-
-
-@pytest.mark.parametrize("unity", [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0)])
-def test_constant_spectrum_alphas_checks_the_declared_unity(monkeypatch, unity):
-    # mat(2) with its unity and with a false one: u = 0 certifies nothing, and
-    # (M^T - M) u != 0 for the others, so alpha = 1 takes the determinant of
-    # the skew pencil M^T - M at every later sample; the true unity needs none
-    calls = counted(monkeypatch, "is_singular")
-    skew = {}
-    for alg in (mat(2), Algebra(mat(2).labels, mat(2).table, unity)):
-        calls.clear()
-        for seed in range(10):
-            cfg = SamplerConfig(seed=seed, samples=8)
-            assert constant_spectrum_alphas(alg, cfg) == intersected_spectra(alg, cfg), seed
-        skew[alg.unity] = sum(rows == tuple(tuple(-x for x in col) for col in zip(*rows)) for (rows,) in calls)
-    assert list(skew.values()) == [0, 70]
 
 
 def test_constant_spectrum_alphas_decides_zero_and_infinity_by_one_determinant(monkeypatch):
