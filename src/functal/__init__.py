@@ -30,10 +30,9 @@ from .functional import (
     trace_functional,
     vanishes_on,
 )
-from .linalg import RatMatrix, ff_det, kernel
+from .linalg import RatMatrix, kernel
 from .poly import (
     BivariatePoly,
-    MultivariatePoly,
     UnivariatePoly,
     pencil_det,
     uni_roots,
@@ -47,7 +46,6 @@ from .spectrum import (
     SpectrumReport,
     char_poly,
     char_poly_raw,
-    char_poly_symbolic,
     classify,
     find_regular,
     index,

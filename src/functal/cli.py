@@ -23,7 +23,6 @@ from . import algebra as ac
 from .algebra import Algebra, parse_algebra, read_algebra, serialize_algebra, validate
 from .errors import (
     AlgebraParseError,
-    EnvelopeExceeded,
     FunctalError,
     NoRegularAlpha0,
     NotMatrixAlgebra,
@@ -38,7 +37,6 @@ from .sampling import SamplerConfig, random_functional
 from .scalars import rat, rat_str
 from .spectrum import (
     char_poly,
-    char_poly_symbolic,
     classify,
     index,
     jordan_spaces,
@@ -48,7 +46,7 @@ from .suites import SUITES, run_suite
 from .tensor import conjecture_probe, tensor_char_check, tensor_functional, tensor_stab_suite
 
 ANALYSIS_ERRORS = (NoRegularAlpha0, NotType1, ZeroPolynomial)
-INPUT_ERRORS = (AlgebraParseError, EnvelopeExceeded, NotMatrixAlgebra, OSError, json.JSONDecodeError, ValueError, KeyError)
+INPUT_ERRORS = (AlgebraParseError, NotMatrixAlgebra, OSError, json.JSONDecodeError, ValueError, KeyError)
 
 
 def load_algebra(spec: str) -> Algebra:
@@ -168,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi", help="characteristic polynomial")
     _add_common(p, functional=True)
-    p.add_argument("--symbolic", action="store_true", help="one variable per basis label")
 
     p = sub.add_parser("spectrum", help="pencil roots, multiplicities, stabilizer dims")
     _add_common(p, functional=True)
@@ -279,7 +276,7 @@ def _dispatch(args) -> int:
 
     if args.verb == "chi":
         alg = load_algebra(args.algebra)
-        chi = char_poly_symbolic(alg) if args.symbolic else char_poly(load_functional(alg, args.functional, args.seed))
+        chi = char_poly(load_functional(alg, args.functional, args.seed))
         print(json.dumps(chi.to_json_dict()) if args.format == "json" else chi.to_text())
         return 0
 

@@ -18,10 +18,6 @@ class NotMatrixAlgebra(FunctalError):
     pass
 
 
-class EnvelopeExceeded(FunctalError):
-    pass
-
-
 class DegeneratePencil(FunctalError):
     pass
 

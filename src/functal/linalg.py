@@ -3,17 +3,17 @@
 A matrix is held only on its integer form (d, integer rows), one denominator
 per matrix instead of a gcd per entry operation (Knuth, TAOCP 2, 4.5.1); all
 matrix arithmetic runs on it, and its Fraction entries are built only when
-read, for output.  Every elimination is one fraction-free loop, `_eliminate`
-(single-step Bareiss, Math. Comp. 22, 1968), over the integers or over
-polynomials.  `det` eliminates the integer rows and returns the signed last
-pivot, over d^n for a matrix.  `rref` scales the rows, eliminates and
-back-substitutes over the integers; with d the last pivot, d times each
-reduced row is an integer row (Nakos, Turner, Williams, SIGSAM Bull. 31,
-1997), and `rref` returns that integer form (|d|, rows, pivots) with no
-Fraction in it.  `kernel` returns (d, d times the kernel basis) from it, the
-basis being sympy's `nullspace`, so a given row space always produces the
-same basis; d depends on the rows given.  `det`, `kernel` and `rank` take a
-`RatMatrix` or integer rows, which go into the elimination as they are.
+read, for output.  Every elimination is one fraction-free loop over the
+integers, `_eliminate` (single-step Bareiss, Math. Comp. 22, 1968).  `det`
+eliminates the integer rows and returns the signed last pivot, over d^n for
+a matrix.  `rref` scales the rows, eliminates and back-substitutes over the
+integers; with d the last pivot, d times each reduced row is an integer row
+(Nakos, Turner, Williams, SIGSAM Bull. 31, 1997), and `rref` returns that
+integer form (|d|, rows, pivots) with no Fraction in it.  `kernel` returns
+(d, d times the kernel basis) from it, the basis being sympy's `nullspace`,
+so a given row space always produces the same basis; d depends on the rows
+given.  `det`, `kernel` and `rank` take a `RatMatrix` or integer rows, which
+go into the elimination as they are.
 
 Outside that loop, one numpy elimination over word-size primes,
 `_eliminate_mod`, takes a whole stack of matrices at once, so the per-call
@@ -34,7 +34,7 @@ import operator
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm, prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -190,26 +190,26 @@ def _integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     return out, scale
 
 
-def _eliminate(rows: list[list], zero, div: Callable) -> tuple[list[int], int]:
-    """Fraction-free (Bareiss) reduction of the rows to row echelon form, in place.
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) reduction of integer rows to row echelon form, in place.
 
     Columns without a pivot are skipped.  Returns the pivot columns and the
-    sign of the row permutation.  ``div(a, b)`` is the exact division of the
-    domain; every entry stays a minor of the input, and the last pivot is the
+    sign of the row permutation.  Every entry stays a minor of the input, so
+    each division by the previous pivot is exact, and the last pivot is the
     minor on the pivot rows and columns.
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     sign = 1
-    prev = None
+    prev = 1
     for c in range(n_cols):
         r = len(pivots)
         if r == n_rows:
             break
-        if rows[r][c] == zero:
+        if rows[r][c] == 0:
             for i in range(r + 1, n_rows):
-                if rows[i][c] != zero:
+                if rows[i][c] != 0:
                     rows[r], rows[i] = rows[i], rows[r]
                     sign = -sign
                     break
@@ -221,11 +221,8 @@ def _eliminate(rows: list[list], zero, div: Callable) -> tuple[list[int], int]:
         for i in range(r + 1, n_rows):
             row_i = rows[i]
             m = row_i[c]
-            row_i[c] = zero
-            if prev is None:
-                row_i[c + 1 :] = [p * x - m * y for x, y in zip(row_i[c + 1 :], tail)]
-            else:
-                row_i[c + 1 :] = [div(p * x - m * y, prev) for x, y in zip(row_i[c + 1 :], tail)]
+            row_i[c] = 0
+            row_i[c + 1 :] = [(p * x - m * y) // prev for x, y in zip(row_i[c + 1 :], tail)]
         prev = p
         pivots.append(c)
     return pivots, sign
@@ -239,7 +236,7 @@ def rref(rows: Sequence[Sequence]) -> tuple[int, tuple[tuple[int, ...], ...], tu
     not be.  No rows or no pivots give (1, (), ())."""
     # zero rows change no pivot, but the elimination would rescale each of them
     ints = [row for row in _integer_rows(rows)[0] if any(row)]
-    pivots, _ = _eliminate(ints, 0, operator.floordiv)
+    pivots, _ = _eliminate(ints)
     if not pivots:
         return 1, (), ()
     n_cols = len(ints[0])
@@ -293,7 +290,7 @@ def kernel(m: RatMatrix | Sequence[Sequence[int]]) -> tuple[int, list[tuple[int,
 def rank(m: RatMatrix | Sequence[Sequence[int]]) -> int:
     """Rank of a rational matrix or of integer rows."""
     ints, _ = _integer_rows(m.integer_form()[1] if isinstance(m, RatMatrix) else m)
-    return len(_eliminate(ints, 0, operator.floordiv)[0])
+    return len(_eliminate(ints)[0])
 
 
 def _eliminate_mod(a: np.ndarray, ranks: np.ndarray, primes: Sequence[int]):
@@ -494,21 +491,8 @@ def det(m: RatMatrix | Sequence[Sequence[int]]) -> Fraction:
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return Fraction(1)
-    pivots, sign = _eliminate(ints, 0, operator.floordiv)
+    pivots, sign = _eliminate(ints)
     if len(pivots) < n:
         return Fraction(0)
     return Fraction(sign * ints[-1][-1], scale)
 
-
-def ff_det(m):
-    """Fraction-free Bareiss determinant of a non-empty square list-of-lists
-    of polynomials (entries with +, -, * and an ``exact_div`` method)."""
-    n = len(m)
-    if n == 0 or any(len(row) != n for row in m):
-        raise ValueError("determinant needs a non-empty square matrix")
-    zero = m[0][0] - m[0][0]
-    rows = [list(row) for row in m]
-    pivots, sign = _eliminate(rows, zero, lambda a, b: a.exact_div(b))
-    if len(pivots) < n:
-        return zero
-    return rows[-1][-1] if sign == 1 else -rows[-1][-1]

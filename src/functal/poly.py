@@ -1,18 +1,16 @@
-"""Sparse exact polynomials: multivariate over Q, pencil specializations, roots.
+"""Sparse exact polynomials: the pencil polynomial over Q, its univariate
+specialization, roots.
 
-Multivariate polynomials are dictionaries mapping exponent tuples to nonzero
-Fraction coefficients.  The canonical term order everywhere (serialization,
-leading terms, normalization) is graded lexicographic, descending.  Their
-arithmetic is what `linalg.ff_det` runs for `chi --symbolic`: +, - and *
-between polynomials in the same variables, and exact division.  A univariate
-polynomial is only evaluated, made monic and searched for roots.
-
-The two-variable pencil polynomial det(lam*P + mu*Q) has its own subclass
-``BivariatePoly`` with the fixed variable pair ("lam", "mu"); ``pencil_det``
-computes it exactly by interpolating the integer slice R(t) = det(t*dP + dQ)
-over Z and homogenizing, dividing by d^n once at the end.  For Q = P^T, R is
-palindromic and half the nodes suffice.  Above a measured size the node
-values come from word-size primes by CRT (`linalg.pencil_dets`).
+The pencil polynomial det(lam*P + mu*Q), ``BivariatePoly``, is a dictionary
+mapping exponent pairs (of lam, mu) to nonzero Fraction coefficients, in
+graded lexicographic order, descending, for serialization, leading terms and
+normalization.  It is computed, normalized, printed and dehomogenized; it has
+no arithmetic.  ``pencil_det`` computes it exactly by interpolating the
+integer slice R(t) = det(t*dP + dQ) over Z and homogenizing, dividing by d^n
+once at the end.  For Q = P^T, R is palindromic and half the nodes suffice.
+Above a measured size the node values come from word-size primes by CRT
+(`linalg.pencil_dets`).  A univariate polynomial is only evaluated, made
+monic and searched for roots.
 
 From there to the roots the coefficients stay in Z: the squarefree
 decomposition runs Yun's algorithm (SYMSAC '76) on the primitive integer
@@ -36,135 +34,51 @@ from .errors import ZeroPolynomial
 from .linalg import RatMatrix
 from .scalars import ComplexApprox, rat, rat_str
 
-PENCIL_VARS = ("lam", "mu")
-
 
 def _grlex_key(exp: tuple[int, ...]):
     return (sum(exp), exp)
 
 
-class MultivariatePoly:
-    """Sparse polynomial in an ordered tuple of named variables."""
+class BivariatePoly:
+    """Sparse polynomial in the pencil variables (lam, mu)."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("terms",)
+    variables = ("lam", "mu")
 
-    def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        self.variables: tuple[str, ...] = tuple(variables)
-        clean: dict[tuple[int, ...], Fraction] = {}
-        if terms:
-            nvars = len(self.variables)
-            for exp, c in terms.items():
-                c = rat(c)
-                if c == 0:
-                    continue
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != nvars or any(e < 0 for e in exp):
-                    raise ValueError(f"bad exponent vector {exp} for {nvars} variables")
-                clean[exp] = c
+    def __init__(self, terms: Mapping[tuple[int, int], Fraction]):
+        clean: dict[tuple[int, int], Fraction] = {}
+        for exp, c in terms.items():
+            c = rat(c)
+            if c == 0:
+                continue
+            exp = tuple(int(e) for e in exp)
+            if len(exp) != 2 or any(e < 0 for e in exp):
+                raise ValueError(f"bad exponent pair {exp}")
+            clean[exp] = c
         # store in canonical graded-lex descending order
-        self.terms: dict[tuple[int, ...], Fraction] = {
-            e: clean[e] for e in sorted(clean, key=_grlex_key, reverse=True)
-        }
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "MultivariatePoly":
-        variables = tuple(variables)
-        i = variables.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return make_poly(variables, {exp: Fraction(1)})
-
-    # -- predicates / accessors ---------------------------------------
+        self.terms: dict[tuple[int, int], Fraction] = {e: clean[e] for e in sorted(clean, key=_grlex_key, reverse=True)}
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degree_in(self, name: str) -> int:
-        i = self.variables.index(name)
-        return max((e[i] for e in self.terms), default=-1)
-
-    def leading(self) -> tuple[tuple[int, ...], Fraction]:
+    def leading(self) -> tuple[tuple[int, int], Fraction]:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no leading term")
         exp = next(iter(self.terms))
         return exp, self.terms[exp]
 
-    # -- arithmetic -----------------------------------------------------
-
-    def _check(self, other: "MultivariatePoly"):
-        if self.variables != other.variables:
-            raise ValueError("polynomials over different variable tuples")
-
-    def __add__(self, other: "MultivariatePoly") -> "MultivariatePoly":
-        self._check(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        return make_poly(self.variables, terms)
-
-    def __neg__(self):
-        return make_poly(self.variables, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "MultivariatePoly") -> "MultivariatePoly":
-        return self + (-other)
-
-    def __mul__(self, other: "MultivariatePoly") -> "MultivariatePoly":
-        self._check(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return make_poly(self.variables, out)
-
-    def exact_div(self, other: "MultivariatePoly") -> "MultivariatePoly":
-        """Exact quotient self / other; raises if the division is not exact."""
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = self
-        out: dict[tuple[int, ...], Fraction] = {}
-        lead_e, lead_c = other.leading()
-        while not rem.is_zero():
-            e, c = rem.leading()
-            q_exp = tuple(a - b for a, b in zip(e, lead_e))
-            if any(x < 0 for x in q_exp):
-                raise ValueError("inexact polynomial division")
-            q_c = c / lead_c
-            out[q_exp] = out.get(q_exp, Fraction(0)) + q_c
-            q_term = make_poly(self.variables, {q_exp: q_c})
-            rem = rem - q_term * other
-        return make_poly(self.variables, out)
-
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MultivariatePoly)
-            and self.variables == other.variables
-            and self.terms == other.terms
-        )
+        return isinstance(other, BivariatePoly) and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.variables, tuple(self.terms.items())))
+        return hash(tuple(self.terms.items()))
 
-    # -- normalization ---------------------------------------------------
-
-    def canonical(self) -> "MultivariatePoly":
+    def canonical(self) -> "BivariatePoly":
         """Divide by the graded-lex leading coefficient (zero stays zero)."""
         if self.is_zero():
             return self
         _, c = self.leading()
-        return make_poly(self.variables, {e: v / c for e, v in self.terms.items()})
-
-    # -- serialization ---------------------------------------------------
+        return BivariatePoly({e: v / c for e, v in self.terms.items()})
 
     def to_text(self) -> str:
         if not self.terms:
@@ -196,32 +110,16 @@ class MultivariatePoly:
         }
 
     def __repr__(self):
-        return f"{type(self).__name__}({self.to_text()!r})"
-
-
-class BivariatePoly(MultivariatePoly):
-    """MultivariatePoly fixed to the pencil variable pair (lam, mu)."""
-
-    def __init__(self, terms: Mapping[tuple[int, ...], Fraction] | None = None, variables=PENCIL_VARS):
-        if tuple(variables) != PENCIL_VARS:
-            raise ValueError("BivariatePoly is fixed to variables (lam, mu)")
-        super().__init__(PENCIL_VARS, terms)
+        return f"BivariatePoly({self.to_text()!r})"
 
     def dehomogenize(self) -> "UnivariatePoly":
         """p(x) = chi(x, -1): the pencil polynomial in one variable."""
         if self.is_zero():
             return UnivariatePoly([])
-        coeffs = [Fraction(0)] * (self.degree_in("lam") + 1)
+        coeffs = [Fraction(0)] * (max(i for i, _ in self.terms) + 1)
         for (i, j), c in self.terms.items():
             coeffs[i] += c * (-1) ** j
         return UnivariatePoly(coeffs)
-
-
-def make_poly(variables: Sequence[str], terms) -> MultivariatePoly:
-    """Factory keeping the (lam, mu) pair closed under arithmetic."""
-    if tuple(variables) == PENCIL_VARS:
-        return BivariatePoly(terms)
-    return MultivariatePoly(variables, terms)
 
 
 class UnivariatePoly:

@@ -26,7 +26,7 @@ from typing import Callable, ClassVar, Sequence
 import numpy as np
 
 from .algebra import Algebra
-from .errors import EnvelopeExceeded, NoRegularAlpha0
+from .errors import NoRegularAlpha0
 from .functional import (
     ALPHA_INF,
     Alpha,
@@ -40,18 +40,10 @@ from .functional import (
     stab,
     subspace_product,
 )
-from .linalg import PRIME, ff_det, float_matrix, integer_vector, is_singular, kernel, rank, ranks_mod_p
-from .poly import (
-    BivariatePoly,
-    MultivariatePoly,
-    make_poly,
-    pencil_det,
-    uni_roots,
-)
+from .linalg import PRIME, float_matrix, integer_vector, is_singular, kernel, rank, ranks_mod_p
+from .poly import BivariatePoly, pencil_det, uni_roots
 from .sampling import SamplerConfig, sample_functionals
 from .scalars import ComplexApprox
-
-SYMBOLIC_DIM_ENVELOPE = 9
 
 
 # ---------------------------------------------------------------------------
@@ -68,34 +60,6 @@ def char_poly_raw(f: Functional, v: Subspace | None = None) -> BivariatePoly:
 def char_poly(f: Functional) -> BivariatePoly:
     """Characteristic polynomial in canonical normalization (leading coeff 1)."""
     return char_poly_raw(f).canonical()
-
-
-def char_poly_symbolic(alg: Algebra) -> MultivariatePoly:
-    """chi as a polynomial in lam, mu and one variable per basis label.
-
-    The determinant is expanded symbolically, which is only sensible for
-    small algebras; dimensions above the envelope raise EnvelopeExceeded
-    and callers should fall back to pointwise identity testing.
-    """
-    if alg.dim > SYMBOLIC_DIM_ENVELOPE:
-        raise EnvelopeExceeded(
-            f"symbolic determinant envelope is dim <= {SYMBOLIC_DIM_ENVELOPE}, got {alg.dim}"
-        )
-    variables = ("lam", "mu") + alg.labels
-    n = alg.dim
-
-    def cell_poly(cell) -> MultivariatePoly:
-        terms = {}
-        for k, c in cell:
-            exp = [0] * len(variables)
-            exp[2 + k] = 1
-            terms[tuple(exp)] = c
-        return make_poly(variables, terms)
-
-    sym = [[cell_poly(alg.table[i][j]) for j in range(n)] for i in range(n)]
-    lam = MultivariatePoly.variable(variables, "lam")
-    mu = MultivariatePoly.variable(variables, "mu")
-    return ff_det([[lam * sym[i][j] + mu * sym[j][i] for j in range(n)] for i in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -457,10 +421,6 @@ class RegularityReport:
     checks: tuple[CheckResult, ...]
     seed: int
     constant_alphas: tuple[str, ...] = field(default=())
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
 
 
 def regularity_corollary_suite(alg: Algebra, sampler: SamplerConfig) -> RegularityReport:

@@ -29,7 +29,6 @@ ALLOWED = {
     "_factorize": (True, "perfbench/make_pools.py imports it"),
     "mat_tensor_index_experiment": (False, "ROADMAP item 1: the seed of the mat-tensor-index suite"),
     "TensorIndexReport.passed": (True, "ROADMAP item 1: the report of mat_tensor_index_experiment"),
-    "RegularityReport.passed": (True, "to_json writes it into the library report, whose digest is pinned"),
 }
 
 
@@ -85,7 +84,7 @@ def test_every_definition_has_a_caller():
 
 # (def, parameter) kept on purpose with no call that passes it yet
 ALLOWED_PARAMETERS = {
-    # ROADMAP item 2: the experiment has no caller until its suite lands
+    # ROADMAP item 1: the experiment has no caller until its suite lands
     ("mat_tensor_index_experiment", "max_exact_chi_dim"),
 }
 

@@ -12,7 +12,6 @@ from functal.linalg import (
     RatMatrix,
     _is_prime,
     det,
-    ff_det,
     float_matrix,
     inverse,
     kernel,
@@ -28,8 +27,6 @@ from functal.linalg import (
 from functal.algebra import mat
 from functal.errors import SingularMatrix
 from functal.functional import Functional, gram
-from functal.poly import MultivariatePoly
-from sympy_oracle import expr, poly
 
 
 def view(d, rows):
@@ -73,40 +70,12 @@ def test_det_0x0_is_one():
     assert det(RatMatrix([])) == 1
 
 
-def test_ff_det_symbolic_2x2():
-    v = ("a", "b", "c", "d")
-    a, b, c, d = (MultivariatePoly.variable(v, name) for name in v)
-    assert ff_det([[a, b], [c, d]]) == a * d - b * c
-
-
-def test_ff_det_matches_cofactor_oracle():
+def test_det_matches_cofactor_oracle():
     rng = random.Random(1)
     for n in range(1, 5):
         for _ in range(8):
             m = rand_matrix(rng, n)
             assert det(m) == cofactor_det([list(r) for r in m.data])
-
-
-def test_ff_det_symbolic_matches_cofactor():
-    # polynomial-entry path of Bareiss vs naive expansion
-    sympy = pytest.importorskip("sympy")
-    rng = random.Random(2)
-    names = ("x", "y", "z")
-    for n in (2, 3):
-        entries = []
-        for _ in range(n):
-            row = []
-            for _ in range(n):
-                terms = {}
-                for k in range(len(names)):
-                    e = [0] * len(names)
-                    e[k] = rng.randint(0, 1)
-                    terms[tuple(e)] = terms.get(tuple(e), Q(0)) + Q(rng.randint(-3, 3))
-                row.append(MultivariatePoly(names, terms))
-            entries.append(row)
-        # the expansion runs on sympy expressions, not on the polynomials under test
-        expected = cofactor_det([[expr(e) for e in row] for row in entries])
-        assert ff_det(entries) == poly(sympy.expand(expected), names)
 
 
 def test_kernel_zero_matrix():

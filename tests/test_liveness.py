@@ -55,8 +55,6 @@ def commands(tmp: Path) -> list[tuple[list[str], int]]:
         (["spectrum", "--algebra", str(tmp / "violation.json")], 2),
         (["chi", "--algebra", "mat:3"], 0),
         (["chi", "--algebra", "ut:5", "--format", "json", "--output", str(tmp / "chi.json")], 0),
-        (["chi", "--symbolic", "--algebra", "ut:3"], 0),
-        (["chi", "--symbolic", "--algebra", "mat:4"], 2),
         (["spectrum", "--algebra", "mat:4", "--format", "json"], 0),
         (["spectrum", "--algebra", "mat:4", "--functional", PLANTED], 0),
         (["spectrum", "--algebra", str(gallery / "ut3.json")], 1),
