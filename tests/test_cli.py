@@ -85,6 +85,7 @@ def assert_one_line_error(err, *words):
         (["stab", "--algebra", "mat:2", "--functional", '{"E_{1,2}": true}', "--alpha", "1"], ["input error", "E_{1,2}"]),
         (["spectrum", "--algebra", "mat:2", "--functional", "diag:1,1/0"], ["input error"]),
         (["spectrum", "--algebra", "ut:2", "--functional", "diag:1,2"], ["input error", "mat(n)"]),
+        (["chi", "--algebra", "mat:2", "--functional", "diag:1"], ["input error", "2x2"]),
         (["spectrum", "--algebra", "mat:2", "--functional", '{"nope": 1}'], ["input error", "nope"]),
         (["spectrum", "--algebra", "blob:3"], ["input error"]),
         (["spectrum", "--algebra", "no-such-file.json"], ["input error"]),

@@ -10,6 +10,7 @@ from functal.linalg import (
     ONE_MOD_P_MIN_DIM,
     PRIME,
     RatMatrix,
+    _eliminate,
     _is_prime,
     det,
     float_matrix,
@@ -68,6 +69,38 @@ def test_det_identity():
 
 def test_det_0x0_is_one():
     assert det(RatMatrix([])) == 1
+
+
+def test_det_2x2_is_ad_minus_bc():
+    rng = random.Random(2)
+    for _ in range(20):
+        a, b, c, d = (Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(4))
+        assert det(RatMatrix([[a, b], [c, d]])) == a * d - b * c
+        a, b, c, d = (rng.randint(-(10**12), 10**12) for _ in range(4))
+        assert det([[a, b], [c, d]]) == a * d - b * c
+
+
+def test_bareiss_entries_are_minors_of_the_input():
+    # Sylvester's identity: with no row swap, after step k the entry (k, j),
+    # j >= k, is the minor on rows 0..k and columns 0..k-1, j; so every
+    # division by the previous pivot is exact
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 6)
+        a = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)]
+        k_max = min(n, m)
+        if any(cofactor_det([row[:k] for row in a[:k]]) == 0 for k in range(1, k_max + 1)):
+            continue
+        rows = [list(row) for row in a]
+        pivots, sign = _eliminate(rows)
+        assert pivots == list(range(k_max)) and sign == 1
+        for k in range(k_max):
+            for j in range(k, m):
+                assert rows[k][j] == cofactor_det([row[:k] + [row[j]] for row in a[: k + 1]])
+            assert all(x == 0 for row in rows[k + 1 :] for x in row[: k + 1])
+        checked += 1
+    assert checked >= 20
 
 
 def test_det_matches_cofactor_oracle():

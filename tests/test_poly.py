@@ -73,6 +73,45 @@ def test_proportional_comparison():
     assert zero.canonical() != p.canonical()
 
 
+def test_canonical_divides_by_sympys_graded_lex_leading_coefficient():
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    rng = random.Random(5)
+    for _ in range(25):
+        p = rand_poly(rng)
+        if p.is_zero():
+            continue
+        sp = sympy.Poly(expr(p), lam, mu)
+        exp, c = p.leading()
+        assert exp == sp.LM(order="grlex").exponents
+        assert c == Q(int(sp.LC(order="grlex").p), int(sp.LC(order="grlex").q))
+        assert p.canonical() == poly(expr(p) / sp.LC(order="grlex"))
+
+
+def test_equal_terms_make_equal_polynomials():
+    # the order of the terms given and zero coefficients do not matter
+    rng = random.Random(6)
+    for _ in range(10):
+        p = rand_poly(rng)
+        items = list(p.terms.items())
+        rng.shuffle(items)
+        q = BivariatePoly(dict(items + [((7, 7), Q(0))]))
+        assert q == p and hash(q) == hash(p) and list(q.terms) == list(p.terms)
+    assert BivariatePoly({(1, 0): 0}) == BivariatePoly({}) and BivariatePoly({}).is_zero()
+    for bad in ((1,), (1, 0, 0), (-1, 2)):
+        with pytest.raises(ValueError):
+            BivariatePoly({bad: 1})
+
+
+def test_dehomogenize_matches_sympy_substitution():
+    sympy = pytest.importorskip("sympy")
+    lam, mu = sympy.symbols("lam mu")
+    rng = random.Random(7)
+    for _ in range(25):
+        p = rand_poly(rng)
+        assert p.dehomogenize() == upoly(expr(p).subs(mu, -1), lam)
+
+
 def test_dehomogenize():
     # chi(x, -1) for (lam+mu)^2(lam-mu) is (x-1)^2 (x+1)
     LAM, MU = pytest.importorskip("sympy").symbols("lam mu")

@@ -97,6 +97,66 @@ def test_char_poly_restricted_to_subspace():
     assert chi == poly(2 * (lam + mu) ** 2)
 
 
+def assert_closed_form(alg, closed_form, seed):
+    """chi_F of random F on `alg` is `closed_form(lam, mu, *coords)`, a formula
+    in F's coordinates in the order of `alg.labels`."""
+    sympy = pytest.importorskip("sympy")
+    lam, mu = symbols()
+    rng = random.Random(seed)
+    for _ in range(10):
+        f = rand_functional(alg, rng)
+        coords = [sympy.Rational(c.numerator, c.denominator) for c in f.coords]
+        assert char_poly_raw(f) == poly(sympy.expand(closed_form(lam, mu, *coords))), f.coords
+
+
+def test_char_poly_mat2_closed_form():
+    assert_closed_form(
+        mat(2),
+        lambda lam, mu, a, b, c, d: -((lam + mu) ** 2) * (a * d - b * c) * ((lam - mu) ** 2 * (a * d - b * c) + lam * mu * (a + d) ** 2),
+        seed=10,
+    )
+
+
+def test_char_poly_seaweed_12_21_closed_form():
+    assert_closed_form(
+        seaweed([1, 2], [2, 1]),
+        lambda lam, mu, a, b, c, d, e: lam**2 * mu**2 * (lam + mu) * b**2 * d**2 * (a + c + e),
+        seed=11,
+    )
+
+
+def test_char_poly_ut2_closed_form():
+    assert_closed_form(ut(2), lambda lam, mu, a, b, c: -lam * mu * b**2 * (lam + mu) * (a + c), seed=12)
+
+
+def test_char_poly_matches_sympy_pencil_on_small_algebras():
+    # sympy's own determinant of lam*B + mu*B^T, B the Gram matrix of F
+    sympy = pytest.importorskip("sympy")
+    lam, mu = symbols()
+    rng = random.Random(0)
+    for alg in (mat(2), ut(2), ut(3), seaweed([1, 2], [2, 1]), seaweed([2, 1], [1, 2])):
+        for _ in range(3):
+            f = rand_functional(alg, rng)
+            b = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in gram(f).data])
+            expected = poly(sympy.expand((lam * b + mu * b.T).det(method="berkowitz")))
+            assert char_poly_raw(f) == expected
+            assert char_poly(f) == expected.canonical()
+
+
+def test_char_poly_of_dimension_16_matches_sympy_at_other_nodes():
+    # mat(2) ⊗ mat(2): chi is homogeneous of degree 16 and chi(t, 1) is
+    # det(t*B + B^T) at nodes outside the 0..8 that pencil_det takes for it
+    sympy = pytest.importorskip("sympy")
+    alg = tensor_product(mat(2), mat(2))
+    f = rand_functional(alg, random.Random(13), lo=-3, hi=3)
+    chi = char_poly_raw(f)
+    assert chi.terms and all(i + j == alg.dim for i, j in chi.terms)
+    b = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in gram(f).data])
+    for t in (sympy.Integer(-2), sympy.Integer(11), sympy.Rational(1, 3)):
+        value = sum(sympy.Rational(c.numerator, c.denominator) * t**i for (i, _), c in chi.terms.items())
+        assert value == (t * b + b.T).det(method="bareiss")
+
+
 # ---------------------------------------------------------------------------
 # pencil polynomial and spectrum
 # ---------------------------------------------------------------------------
