@@ -3,9 +3,10 @@
 Algebras come from constructor specs ("mat:3", "ut:2", "seaweed:1,2;2,1",
 "abc0:<file>") or from algebra JSON files; functionals from JSON files
 (label -> rational), inline JSON, "random" (seeded) or "diag:a,b,..."
-(trace pairing on mat(n)).  Exit codes: 0 success, 1 analysis refusal,
-2 input error.  Reports print human-readable by default and as canonical
-JSON with --format json.
+(trace pairing on mat(n)).  Exit codes: 0 success, 1 analysis refusal
+(out of memory included), 2 input error, and 141 (128 + SIGPIPE, as for a
+process the signal ends) when the reader closes stdout early.  Reports print
+human-readable by default and as canonical JSON with --format json.
 """
 
 from __future__ import annotations
@@ -223,6 +224,13 @@ def run(argv: list[str] | None = None) -> int:
     except ANALYSIS_ERRORS as e:
         print(f"analysis refused: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        # numpy's _ArrayMemoryError names the array it could not allocate
+        print("analysis refused: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # a closed stdout is no bad input, though BrokenPipeError is an OSError
+        raise
     except INPUT_ERRORS as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2
@@ -379,7 +387,15 @@ def _dispatch(args) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # flush at exit raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -15,17 +15,26 @@ so a given row space always produces the same basis; d depends on the rows
 given.  `det`, `kernel` and `rank` take a `RatMatrix` or integer rows, which
 go into the elimination as they are.
 
-Outside that loop, one numpy elimination over word-size primes,
-`_eliminate_mod`, takes a whole stack of matrices at once, so the per-call
-cost is paid once per stack, not once per matrix (Dumas, Giorgi, Pernet,
-ACM TOMS 35(3), 2008).  `ranks_mod_p` reads from it ranks over GF(PRIME),
-never above the ranks over Q.  From CRT_MIN_DIM rows on, determinants come
-from it too: `pencil_dets` takes det(t*P + Q) at every node t of an integer
-pencil from its residues mod as many primes as a Hadamard bound asks for and
-rebuilds each by the Chinese remainder theorem, exactly (Abbott, Bronstein,
-Mulders, ISSAC 1999).  Below CRT_MIN_DIM, `det` is faster.  `is_singular`
-trusts a nonzero det mod PRIME of one matrix from ONE_MOD_P_MIN_DIM rows on,
-and takes the exact `det` only on a zero residue.
+Outside that loop, `ranks_mod_p` takes the ranks over GF(PRIME) of a whole
+stack of matrices in one numpy elimination, so the per-call cost is paid
+once per stack, not once per matrix (Dumas, Giorgi, Pernet, ACM TOMS 35(3),
+2008); they are never above the ranks over Q.
+
+From CRT_MIN_DIM rows on, the pencil polynomial det(t*P + Q) of integer
+rows comes from one characteristic polynomial per word-size prime:
+`pencil_coefficients` runs Faddeev-LeVerrier (Faddeev and Faddeeva,
+Computational Methods of Linear Algebra, 1963), one batched float64
+`matmul` per step over all primes, no pivoting, and rebuilds the
+coefficients R_k by the Chinese remainder theorem under the Hadamard bound
+|R_k| <= prod_i sqrt(|P_i|^2 + 2|P_i.Q_i| + |Q_i|^2) (Abbott, Bronstein,
+Mulders, ISSAC 1999).  Below CRT_MIN_DIM, `det` at each node is faster.
+`is_singular` trusts a nonzero det of one matrix mod one such prime from
+ONE_MOD_P_MIN_DIM rows on, and takes the exact `det` only on a zero
+residue.  Both are exact because every value is an integer below 2**53 in
+float64: the primes are at most sqrt(2**51 / n), so 2 n p^2 <= 2**52
+bounds every sum of n products of a residue in [-p, p) by one in [-p, 2p)
+(p is above 2**21 for n < 256 and smaller past it), and entries from 2**63
+on are reduced by Python before the cast.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from typing import Sequence
 
 import numpy as np
@@ -46,12 +55,13 @@ Vector = tuple[Fraction, ...]
 # the largest prime below 2**31 - 1; PRIME**2 < 2**62, so no int64 product overflows
 PRIME = 2147483629
 
-# from this size on, determinants are taken mod word-size primes: on integer
-# pencils det(t*P + Q), the numpy route measured faster than Bareiss from 11
-# (reciprocal) and 9 (general) rows
+# from this size on, pencil polynomials det(t*P + Q) are taken mod word-size
+# primes (`pencil_coefficients`); the node route it replaced measured faster
+# than Bareiss from 11 (reciprocal) and 9 (general) rows
 CRT_MIN_DIM = 12
-# one matrix alone pays that route's per-column numpy cost: its det mod PRIME
-# measured faster than Bareiss from 22 rows on
+# one matrix alone pays a numpy route's per-call cost: its det mod PRIME by
+# an elimination measured faster than Bareiss from 22 rows on, and by
+# `_faddeev_leverrier` it is 2-3x faster still at 22-36 rows
 ONE_MOD_P_MIN_DIM = 22
 
 
@@ -293,24 +303,27 @@ def rank(m: RatMatrix | Sequence[Sequence[int]]) -> int:
     return len(_eliminate(ints)[0])
 
 
-def _eliminate_mod(a: np.ndarray, ranks: np.ndarray, primes: Sequence[int]):
-    """The word-size elimination, in place on an int64 stack a of shape
-    (k * S, r, n) whose i-th run of S matrices holds residues mod primes[i];
-    ranks[m] counts the rows matrix m has used, and the caller advances it
-    after each column.  At column c, each matrix with a nonzero entry in an
-    unused row swaps the first such row p into place q = its rank as pivot,
-    and every row below becomes pivot * row - entry * pivot row.  Yields
-    (has, p, q, pivots) per column, pivot 1 where a matrix has none, and
-    None for a column where no matrix has one."""
-    rows = np.arange(a.shape[1])
-    every = np.arange(a.shape[0])
-    # one prime's run at a time keeps each column's temporaries small
-    size = a.shape[0] // len(primes)
-    for c in range(a.shape[2]):
+def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
+    """Rank over GF(PRIME) of every matrix in an int64 stack of shape (S, r, n),
+    in one elimination of the whole stack.  Each rank is at most the rank k
+    over Q of its matrix, and below k only when PRIME divides every k x k
+    minor.
+
+    ranks[m] counts the rows matrix m has used.  At column c, each matrix
+    with a nonzero entry in an unused row swaps the first such row p into
+    place q = its rank as pivot, and every row below becomes
+    pivot * row - entry * pivot row."""
+    a = np.remainder(stack, PRIME)
+    s, r, n = a.shape
+    ranks = np.zeros(s, dtype=np.int64)
+    rows = np.arange(r)
+    every = np.arange(s)
+    for c in range(n):
+        if (ranks == r).all():
+            break
         candidates = (a[:, :, c] != 0) & (rows >= ranks[:, None])
         has = candidates.any(axis=1)
         if not has.any():
-            yield None
             continue
         # a matrix without a pivot (argmax 0) swaps row 0 with itself, and its
         # rows below have zero entries, so the update leaves it as it is
@@ -330,58 +343,11 @@ def _eliminate_mod(a: np.ndarray, ranks: np.ndarray, primes: Sequence[int]):
         pivots = np.where(has, pivot_rows[:, c], 1)
         # entries and pivots are below 2**31, so no product reaches 2**62;
         # floor division by a scalar measured 4x faster than np.remainder
-        for i, prime in enumerate(primes):
-            run = slice(i * size, (i + 1) * size)
-            x = a[run, lo:, c + 1 :] * pivots[run, None, None] - entries[run, :, None] * pivot_rows[run, None, c + 1 :]
-            x -= x // prime * prime
-            a[run, lo:, c + 1 :] = x
-        yield has, p, q, pivots
-
-
-def ranks_mod_p(stack: np.ndarray) -> np.ndarray:
-    """Rank over GF(PRIME) of every matrix in an int64 stack of shape (S, r, n),
-    in one elimination (`_eliminate_mod`).  Each rank is at most the rank k
-    over Q of its matrix, and below k only when PRIME divides every k x k
-    minor."""
-    a = np.remainder(stack, PRIME)
-    s, r, n = a.shape
-    ranks = np.zeros(s, dtype=np.int64)
-    for step in _eliminate_mod(a, ranks, (PRIME,)):
-        if step is not None:
-            ranks += step[0]
-            if (ranks == r).all():
-                break
+        x = a[:, lo:, c + 1 :] * pivots[:, None, None] - entries[:, :, None] * pivot_rows[:, None, c + 1 :]
+        x -= x // PRIME * PRIME
+        a[:, lo:, c + 1 :] = x
+        ranks += has
     return ranks
-
-
-def _dets_mod_primes(a: np.ndarray, primes: Sequence[int]) -> list[int]:
-    """det mod primes[i] of every matrix in an int64 stack a of shape
-    (k * S, n, n), n > 0, whose i-th run of S matrices holds residues mod
-    primes[i]; eliminated in place.  Every matrix counts as using a row per
-    column, so column c scales rows c+1.. by its pivot: the final diagonal is
-    the pivots, and the row scalings multiply the determinant by
-    S = prod_c pivot_c^(n-1-c), the product of the running pivot products
-    over c < n-1.  So det = sign * prod_c pivot_c / S.  A matrix without a
-    pivot at some column is singular."""
-    s, n, _ = a.shape
-    mods = np.repeat(np.array(primes, dtype=np.int64), s // len(primes))
-    ranks = np.zeros(s, dtype=np.int64)
-    sign = np.ones(s, dtype=np.int64)
-    running = np.ones(s, dtype=np.int64)
-    scale = np.ones(s, dtype=np.int64)
-    for c, step in enumerate(_eliminate_mod(a, ranks, primes)):
-        if step is None:
-            return [0] * s
-        has, p, q, pivots = step
-        ranks += 1
-        sign[p != q] *= -1
-        running = np.where(has, running * pivots % mods, 0)
-        if c < n - 1:
-            scale = scale * running % mods
-    return [
-        g * x * pow(y, -1, m) % m if x else 0
-        for g, x, y, m in zip(sign.tolist(), running.tolist(), scale.tolist(), mods.tolist())
-    ]
 
 
 def _is_prime(n: int) -> bool:
@@ -404,12 +370,11 @@ def _is_prime(n: int) -> bool:
 
 
 @cache
-def primes_below(k: int) -> tuple[int, ...]:
-    """The k >= 1 largest primes <= PRIME, descending; each is found once."""
-    if k == 1:
-        return (PRIME,)
-    head = primes_below(k - 1)
-    n = head[-1] - 2
+def primes_below(k: int, top: int) -> tuple[int, ...]:
+    """The k >= 1 largest primes <= top, descending, for top below
+    3,215,031,751 and above the k-th prime past 7; each is found once."""
+    head = primes_below(k - 1, top) if k > 1 else ()
+    n = head[-1] - 2 if head else top - 1 + top % 2
     while not _is_prime(n):
         n -= 2
     return head + (n,)
@@ -425,35 +390,132 @@ def _residues(rows: Sequence[Sequence[int]], primes: Sequence[int]) -> np.ndarra
     return np.stack([a % m for m in primes])
 
 
-def pencil_dets(p: Sequence[Sequence[int]], q: Sequence[Sequence[int]], nodes: int) -> list[int]:
-    """det(t*P + Q) for t = 0..nodes-1, for square integer rows P and Q of
-    size n > 0, from their residues mod word-size primes (Abbott, Bronstein,
-    Mulders, ISSAC 1999).  Row t*P_i + Q_i has squared norm
-    t^2 |P_i|^2 + 2t P_i.Q_i + |Q_i|^2, so Hadamard's inequality bounds every
-    |det| by a B from O(n) work per node.  The k largest primes <= PRIME with
-    product N > 2B take all the nodes in one elimination of a (k, nodes, n, n)
-    stack (`_dets_mod_primes`), and each det is the residue mod N, by the
-    Chinese remainder theorem, taken in (-N/2, N/2)."""
-    norms = [(sum(x * x for x in u), sum(x * y for x, y in zip(u, w)), sum(y * y for y in w)) for u, w in zip(p, q)]
-    bound2 = max(prod(t * t * a + 2 * t * b + c for a, b, c in norms) for t in range(nodes))
-    k, modulus = 1, PRIME
+def _reduce(x: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """x mod p into [-p, p), in place, for a float64 array x of integers
+    |x| <= 2**52 and mods broadcasting p: the correctly rounded x / p rounds
+    up to at most the next integer, so the floor is off by at most one, and
+    every value stays an exact integer."""
+    x -= np.floor(x / mods) * mods
+    return x
+
+
+@cache
+def _negated_inverses(n: int, primes: tuple[int, ...]) -> np.ndarray:
+    """The float64 table of -1/j mod each prime, row j = 1..n (row 0 unused)."""
+    return np.array([[0] * len(primes)] + [[m - pow(j, -1, m) for m in primes] for j in range(1, n + 1)], dtype=float)
+
+
+def _faddeev_leverrier(a: np.ndarray, mods: np.ndarray, negated_inverses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(c, M) for a float64 stack a of shape (S, n, n) whose matrix s holds
+    integers in [-p, p) for p = mods[s]: c[s] holds the coefficients, low
+    to high and in [0, p), of det(x*I - a[s]) mod p, and M[s] the matrix
+    M_n mod p, with a[s] @ M_n = -c_0 I (Faddeev and Faddeeva, Computational
+    Methods of Linear Algebra, 1963, section 24).  One batched `matmul` per
+    coefficient, no pivoting: M_1 = I, c_(n-k) = -tr(a M_k) / k and
+    M_(k+1) = a M_k + c_(n-k) I, with -1/k mod p from negated_inverses[k]
+    (`_negated_inverses`, shape (n+1, S)), so p > n.  Each reduced product
+    lies in [-p, p) and each M in [-p, 2p), so with 2 n p^2 <= 2**52 every
+    sum in `matmul` is an exact integer."""
+    s, n, _ = a.shape
+    c = np.zeros((s, n + 1))
+    c[:, n] = 1
+    m = np.broadcast_to(np.eye(n), a.shape)
+    for k in range(1, n + 1):
+        am = _reduce(a @ m, mods[:, None, None])
+        diagonal = am.reshape(s, -1)[:, :: n + 1]
+        c[:, n - k] = np.remainder(diagonal.sum(axis=1) * negated_inverses[k], mods)
+        if k < n:
+            diagonal += c[:, n - k, None]
+            m = am
+    return c, m
+
+
+def pencil_coefficients(p: Sequence[Sequence[int]], q: Sequence[Sequence[int]], nodes: int) -> list[int]:
+    """The coefficients R_0..R_n, low to high, of R(t) = det(t*P + Q) for
+    square integer rows P and Q of size n > 0, exactly, from one
+    characteristic polynomial per word-size prime; `nodes` is n + 1, or
+    n//2 + 1 for a palindromic R (R_k = R_(n-k)).
+
+    For each prime p, A = t0*P + Q at the first node t0 = 2, 3, .., nodes+1
+    with det A != 0 mod p gives det A and adj A by `_faddeev_leverrier`,
+    then B = A^-1 P the coefficients of det(x*I - B), the elementary
+    symmetric functions of its eigenvalues, so that
+    det(t*P + Q) = det A * det(I + (t - t0) B) comes out as coefficients in
+    t - t0, which a Taylor shift turns into R mod p.  Only the primes where
+    det A = 0 retry, at the next node.  A prime with det A = 0 at every node
+    has R = 0 mod p, since a nonzero R mod p has at most n roots: n + 1
+    nodes are too many, and so are the 2 * nodes > n roots t and 1/t of a
+    palindromic R, distinct while (nodes + 1)^2 < p (else all n + 1 nodes
+    are taken).  When every prime has det A = 0 at t0 = 2, a common kernel
+    vector of P and Q (a zero column of [P; Q], or rank [P; Q] < n by one
+    exact `rank`) proves R = 0 at once; it measured cheaper than the nodes
+    on every pencil with R = 0 that the benchmark corpora hold.
+
+    Values stay exact integers in float64 with primes p <= sqrt(2**51 / n),
+    so 2 n p^2 <= 2**52 (the argument of Dumas, Giorgi, Pernet, ACM TOMS
+    35(3), 2008, for FFLAS-FFPACK; p > 2**21 for n < 256).  On the unit
+    circle, Hadamard's inequality bounds |R(e^(i theta))| by
+    B = prod_i sqrt(|P_i|^2 + 2|P_i.Q_i| + |Q_i|^2), and R_k is the mean of
+    R(e^(i theta)) e^(-ik theta), so |R_k| <= B: the k largest such primes
+    with product N > 2B give each R_k as its residue mod N, by the Chinese
+    remainder theorem, taken in (-N/2, N/2) (Abbott, Bronstein, Mulders,
+    ISSAC 1999)."""
+    n = len(p)
+    mul = operator.mul
+    bound2 = prod(sum(map(mul, u, u)) + 2 * abs(sum(map(mul, u, w))) + sum(map(mul, w, w)) for u, w in zip(p, q))
+    top = isqrt(2**51 // n)
+    k, modulus = 1, primes_below(1, top)[0]
     while modulus * modulus <= 4 * bound2:
         k += 1
-        modulus *= primes_below(k)[-1]
-    primes = primes_below(k)
-    n = len(p)
-    rp, rq = _residues(p, primes), _residues(q, primes)
-    a = np.empty((k, nodes, n, n), dtype=np.int64)
-    np.multiply(rp[:, None], np.arange(nodes)[:, None, None], out=a)
-    a += rq[:, None]
-    for ai, prime in zip(a, primes):
-        ai -= ai // prime * prime
-    residues = _dets_mod_primes(a.reshape(k * nodes, n, n), primes)
+        modulus *= primes_below(k, top)[-1]
+    primes = primes_below(k, top)
+    if (nodes + 1) ** 2 >= primes[-1]:
+        nodes = n + 1
+    mods = np.array(primes, dtype=float)
+    rp, rq = (_residues(x, primes).astype(float) for x in (p, q))
+    negated_inverses = _negated_inverses(n, primes)
+    t0 = np.zeros(k, dtype=np.int64)
+    dets = np.zeros(k)
+    adjugates = np.empty_like(rp)
+    pending = np.arange(k)
+    for t in range(2, nodes + 2):
+        a = _reduce(rp[pending] * t + rq[pending], mods[pending, None, None])
+        c, m = _faddeev_leverrier(a, mods[pending], negated_inverses[:, pending])
+        found = c[:, 0] != 0
+        t0[pending[found]], dets[pending[found]], adjugates[pending[found]] = t, c[found, 0], m[found]
+        pending = pending[~found]
+        if not pending.size:
+            break
+        if t == 2 and pending.size == k:
+            # a common kernel vector of P and Q, such as a zero column of
+            # [P; Q], makes every t*P + Q singular
+            stacked = [u for u in (*p, *q) if any(u)]
+            if not all(map(any, zip(*stacked))) or rank(stacked) < n:
+                return [0] * (n + 1)
+    live = np.flatnonzero(t0)
+    residues = np.zeros((k, n + 1), dtype=np.int64)
+    if live.size:
+        # A^-1 = -M_n / c_0 and det A = (-1)^n c_0
+        ms = mods[live, None, None]
+        w = np.array([pow(int(x), -1, m) for x, m in zip(dets[live], (primes[i] for i in live))], dtype=float)
+        b = _reduce(_reduce(adjugates[live] @ rp[live], ms) * (ms - w[:, None, None]), ms)
+        e, _ = _faddeev_leverrier(b, mods[live], negated_inverses[:, live])
+        # with e the coefficients of det(x*I - B), det(I + s B) is
+        # sum_k (-1)^k e[n-k] s^k, so g_k = (-1)^(n+k) c_0 e[n-k]
+        g = e[:, ::-1] * dets[live, None]
+        g[:, (n + 1) % 2 :: 2] *= -1
+        g = np.remainder(g, mods[live, None]).astype(np.int64)
+        # Taylor shift: R(t) = sum_k g_k (t - t0)^k by Horner in t - t0
+        shift, ps = t0[live, None], np.array(primes, dtype=np.int64)[live, None]
+        for j in range(n - 1, -1, -1):
+            g[:, j:n] -= shift * g[:, j + 1 :]
+            g[:, j:] %= ps
+        residues[live] = g
     # basis[i] is 1 mod primes[i] and 0 mod the others
     basis = [modulus // m * pow(modulus // m, -1, m) for m in primes]
     out = []
-    for t in range(nodes):
-        x = sum(e * r for e, r in zip(basis, residues[t::nodes])) % modulus
+    for column in residues.T.tolist():
+        x = sum(map(mul, basis, column)) % modulus
         out.append(x - modulus if 2 * x > modulus else x)
     return out
 
@@ -471,10 +533,14 @@ def inverse(m: RatMatrix) -> RatMatrix:
 
 def is_singular(rows: Sequence[Sequence[int]]) -> bool:
     """det = 0 for square integer rows.  From ONE_MOD_P_MIN_DIM rows on, a
-    nonzero det mod PRIME proves det != 0; only a zero residue takes the exact
-    `det`."""
-    if len(rows) >= ONE_MOD_P_MIN_DIM and _dets_mod_primes(_residues(rows, (PRIME,)), (PRIME,))[0]:
-        return False
+    nonzero det mod one word-size prime (`_faddeev_leverrier`) proves
+    det != 0; only a zero residue takes the exact `det`."""
+    n = len(rows)
+    if n >= ONE_MOD_P_MIN_DIM:
+        primes = primes_below(1, isqrt(2**51 // n))
+        a = _residues(rows, primes).astype(float)
+        if _faddeev_leverrier(a, np.array(primes, dtype=float), _negated_inverses(n, primes))[0][0, 0]:
+            return False
     return det(rows) == 0
 
 

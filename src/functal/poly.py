@@ -5,12 +5,15 @@ The pencil polynomial det(lam*P + mu*Q), ``BivariatePoly``, is a dictionary
 mapping exponent pairs (of lam, mu) to nonzero Fraction coefficients, in
 graded lexicographic order, descending, for serialization, leading terms and
 normalization.  It is computed, normalized, printed and dehomogenized; it has
-no arithmetic.  ``pencil_det`` computes it exactly by interpolating the
-integer slice R(t) = det(t*dP + dQ) over Z and homogenizing, dividing by d^n
-once at the end.  For Q = P^T, R is palindromic and half the nodes suffice.
-Above a measured size the node values come from word-size primes by CRT
-(`linalg.pencil_dets`).  A univariate polynomial is only evaluated, made
-monic and searched for roots.
+no arithmetic.  ``pencil_det`` computes the integer slice
+R(t) = det(t*dP + dQ) exactly and homogenizes it, dividing by d^n once at
+the end.  Below a measured size it interpolates R over Z from Bareiss
+determinants at nodes (for Q = P^T, R is palindromic and half the nodes
+suffice); from `linalg.CRT_MIN_DIM` rows on, R comes as coefficients from one
+Faddeev-LeVerrier characteristic polynomial per word-size prime, exact in
+float64 below 2**53 and rebuilt by CRT under a Hadamard bound on the
+coefficients (`linalg.pencil_coefficients`).  A univariate polynomial is
+only evaluated, made monic and searched for roots.
 
 From there to the roots the coefficients stay in Z: the squarefree
 decomposition runs Yun's algorithm (SYMSAC '76) on the primitive integer
@@ -405,19 +408,18 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
 
     With d the common denominator of P and Q, R(t) = det(t*dP + dQ) is an
     integer polynomial of degree at most n, and
-    chi(lam, mu) = sum R_k lam^k mu^(n-k) / d^n.  A general pencil takes R at
-    t = 0..n; forward differences, divided exactly by j at step j, give R in
-    the falling-factorial basis, which expands to monomials over Z.  For
-    Q = P^T, det(t*P + P^T) = t^n det(P/t + P^T) makes R palindromic
-    (R_k = R_(n-k)), so its h+1 free coefficients, h = n//2, come from
-    t = 0..h by one rref of the integer system [t^j + t^(n-j) | R(t)] (t^j
-    alone when j = n-j).  A palindromic polynomial vanishing at 0..h also
-    vanishes at 1/2..1/h, and at -1 for odd n, more roots than its degree
-    allows, so that system is nonsingular.  The node values R(t) are exact
-    integers either way: from `linalg.CRT_MIN_DIM` rows on, `linalg.pencil_dets`
-    takes all of them in one batched elimination over word-size primes and
-    rebuilds them by CRT under a Hadamard bound; below it, one Bareiss
-    `linalg.det` per node is faster.
+    chi(lam, mu) = sum R_k lam^k mu^(n-k) / d^n.  From `linalg.CRT_MIN_DIM`
+    rows on, `linalg.pencil_coefficients` gives the R_k at once, from one
+    characteristic polynomial per word-size prime.  Below it, one Bareiss
+    `linalg.det` per node is faster, and R is interpolated.  A general
+    pencil takes R at t = 0..n; forward differences, divided exactly by j at
+    step j, give R in the falling-factorial basis, which expands to
+    monomials over Z.  For Q = P^T, det(t*P + P^T) = t^n det(P/t + P^T)
+    makes R palindromic (R_k = R_(n-k)), so its h+1 free coefficients,
+    h = n//2, come from t = 0..h by one rref of the integer system
+    [t^j + t^(n-j) | R(t)] (t^j alone when j = n-j).  A palindromic
+    polynomial vanishing at 0..h also vanishes at 1/2..1/h, and at -1 for
+    odd n, more roots than its degree allows, so that system is nonsingular.
     """
     if not (p.is_square() and q.is_square() and p.rows == q.rows):
         raise ValueError("pencil_det needs equal square matrices")
@@ -429,23 +431,23 @@ def pencil_det(p: RatMatrix, q: RatMatrix) -> BivariatePoly:
     reciprocal = iq == [list(col) for col in zip(*ip)]
     h = n // 2 if reciprocal else n
     if n >= linalg.CRT_MIN_DIM:
-        r = linalg.pencil_dets(ip, iq, h + 1)
+        coeffs = linalg.pencil_coefficients(ip, iq, h + 1)
     else:
         r = [linalg.det([[t * x + y for x, y in zip(u, w)] for u, w in zip(ip, iq)]).numerator for t in range(h + 1)]
-    if reciprocal:
-        system = [[t**j + t ** (n - j) if 2 * j < n else t**j for j in range(h + 1)] + [y] for t, y in enumerate(r)]
-        scale, rows, _ = linalg.rref(system)
-        half = [row[-1] // scale for row in rows]
-        coeffs = half + half[n - h - 1 :: -1]
-    else:
-        for j in range(1, n + 1):
-            for i in range(n, j - 1, -1):
-                r[i] = (r[i] - r[i - 1]) // j
-        # r[j] is now the coefficient of t(t-1)...(t-j+1); Horner in that basis
-        coeffs = [r[n]]
-        for j in range(n - 1, -1, -1):
-            coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
-            coeffs[0] += r[j]
+        if reciprocal:
+            system = [[t**j + t ** (n - j) if 2 * j < n else t**j for j in range(h + 1)] + [y] for t, y in enumerate(r)]
+            scale, rows, _ = linalg.rref(system)
+            half = [row[-1] // scale for row in rows]
+            coeffs = half + half[n - h - 1 :: -1]
+        else:
+            for j in range(1, n + 1):
+                for i in range(n, j - 1, -1):
+                    r[i] = (r[i] - r[i - 1]) // j
+            # r[j] is now the coefficient of t(t-1)...(t-j+1); Horner in that basis
+            coeffs = [r[n]]
+            for j in range(n - 1, -1, -1):
+                coeffs = [a - j * b for a, b in zip([0] + coeffs, coeffs + [0])]
+                coeffs[0] += r[j]
     dn = d**n
     return BivariatePoly({(k, n - k): Fraction(c, dn) for k, c in enumerate(coeffs) if c})
 

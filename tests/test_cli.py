@@ -150,6 +150,44 @@ def test_refused_analysis_exits_1_with_one_line(capsys):
     assert_one_line_error(err, "analysis refused")
 
 
+def _array_memory_error():
+    """numpy's MemoryError for the 4.83 GiB node stack that a 240-row pencil once asked for."""
+    np = pytest.importorskip("numpy")
+    try:
+        from numpy._core._exceptions import _ArrayMemoryError
+    except ImportError:  # numpy < 2
+        from numpy.core._exceptions import _ArrayMemoryError
+    return _ArrayMemoryError((93, 121, 240, 240), np.dtype(np.int64))
+
+
+@pytest.mark.parametrize("error", [MemoryError, _array_memory_error], ids=["MemoryError", "_ArrayMemoryError"])
+def test_out_of_memory_exits_1_with_one_line(capsys, monkeypatch, error):
+    def spectrum(*args):
+        raise error()
+
+    monkeypatch.setattr(cli, "spectrum", spectrum)
+    code, out, err = run(capsys, "spectrum", "--algebra", "mat:2")
+    assert code == 1
+    assert out == ""
+    assert_one_line_error(err, "analysis refused: out of memory")
+    if error is _array_memory_error:
+        assert "4.83 GiB" in err
+
+
+def test_a_closed_stdout_exits_141_without_a_message():
+    # the read end is closed before the process starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-c", "from functal.cli import main; main()", "show", "--algebra", "mat:3", "--format", "json"]
+    try:
+        done = subprocess.run(argv, stdout=write, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write)
+    assert done.returncode == 141
+    assert done.stderr == b""
+
+
 @pytest.mark.parametrize("verb", ["stab", "jordan"])
 @pytest.mark.parametrize("alpha", ["-1/2", "-1", "-7/3"])
 def test_negative_alpha_parses_as_a_separate_argument(capsys, verb, alpha):

@@ -18,7 +18,7 @@ from functal.linalg import (
     kernel,
     is_singular,
     kron,
-    pencil_dets,
+    pencil_coefficients,
     primes_below,
     rank,
     ranks_mod_p,
@@ -564,13 +564,91 @@ def _pencil_cases(rng):
             yield f"2**80 general {n}", big, q, n + 1
 
 
-def test_pencil_dets_match_bareiss_across_the_cut_over():
+def _values(coeffs, nodes):
+    """R(t) for t = 0..nodes-1 from the coefficients of R, low to high."""
+    return [sum(c * t**k for k, c in enumerate(coeffs)) for t in range(nodes)]
+
+
+def test_pencil_coefficients_match_bareiss_across_the_cut_over():
     signs = set()
     for name, p, q, nodes in _pencil_cases(random.Random(21)):
-        want = _node_dets(p, q, nodes)
-        assert pencil_dets(p, q, nodes) == want, name
+        n = len(p)
+        want = _node_dets(p, q, n + 1)
+        assert _values(pencil_coefficients(p, q, nodes), n + 1) == want, name
         signs |= {(x > 0) - (x < 0) for x in want}
     assert signs == {-1, 0, 1}
+
+
+def _unimodular(n, rng):
+    """A random integer matrix of determinant 1, as rows: a product of
+    elementary row additions with small multipliers."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def _times(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _scrambled(p, q, rng):
+    """U P V and U Q V for unimodular U and V: the same det(t*P + Q), with
+    no zero row or column left."""
+    n = len(p)
+    u, v = _unimodular(n, rng), _unimodular(n, rng)
+    return _times(_times(u, p), v), _times(_times(u, q), v)
+
+
+def _block(blocks):
+    """The block-diagonal rows of square blocks."""
+    n = sum(len(b) for b in blocks)
+    out, at = [], 0
+    for b in blocks:
+        for row in b:
+            out.append([0] * at + list(row) + [0] * (n - at - len(row)))
+        at += len(b)
+    return out
+
+
+def test_pencil_coefficients_of_singular_and_degenerate_pencils():
+    rng = random.Random(24)
+    n = 12
+    dense = [[rng.randint(-9, 9) for _ in range(n - 3)] for _ in range(n - 3)]
+    # R = 0 with a common kernel vector: column n-1 is column 0 plus column 1
+    p = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    q = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    for m in (p, q):
+        for row in m:
+            row[-1] = row[0] + row[1]
+    assert pencil_coefficients(p, q, n + 1) == [0] * (n + 1)
+    # R = 0 without one: the 3 x 3 block [[t, 1, 0], [0, 0, t], [0, 0, 1]]
+    # has minimal indices 1, so every prime is singular at every node
+    p = _block([[[1, 0, 0], [0, 0, 1], [0, 0, 0]], dense])
+    q = _block([[[0, 1, 0], [0, 0, 0], [0, 0, 1]], dense])
+    p, q = _scrambled(p, q, rng)
+    assert rank(p + q) == rank([u + w for u, w in zip(p, q)]) == n
+    assert pencil_coefficients(p, q, n + 1) == [0] * (n + 1)
+    # R(t) = t^3 (t - 2)(t - 3)(t - 4)(t - 5)(t + 7) times a 4 x 4 pencil's
+    # det: singular at the first four nodes, so every prime takes t0 = 6
+    p = _block([[[1]]] * 8 + [[[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]])
+    q = _block([[[-r]] for r in (0, 0, 0, 2, 3, 4, 5, -7)] + [[[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]])
+    p, q = _scrambled(p, q, rng)
+    want = _node_dets(p, q, n + 1)
+    assert want[2:6] == [0] * 4 and want[6] != 0
+    assert _values(pencil_coefficients(p, q, n + 1), n + 1) == want
+    # every entry a multiple of the first prime, which divides every
+    # coefficient: that prime is singular at every node, and entries pass 2**63
+    first = primes_below(1, math.isqrt(2**51 // n))[0]
+    big = [[first * 2**41 * rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+    assert max(abs(x) for row in big for x in row) >= 2**63
+    general = [[first * x for x in row] for row in _block([dense, [[1, 2, 0], [0, 1, 1], [3, 0, 1]]])]
+    for p, q, nodes in ((big, [list(col) for col in zip(*big)], n // 2 + 1), (big, general, n + 1)):
+        want = _node_dets(p, q, n + 1)
+        assert all(x % first**n == 0 for x in want) and any(want)
+        assert _values(pencil_coefficients(p, q, nodes), n + 1) == want
 
 
 def _sylvester(k):
@@ -580,48 +658,54 @@ def _sylvester(k):
     return h
 
 
-def test_pencil_dets_at_the_hadamard_bound():
-    # s*H for a Sylvester-Hadamard H of order 16 meets Hadamard's bound, so the
-    # largest node value needs every prime the bound asks for
-    n, s = 16, 3**5
-    p = [[s * x for x in row] for row in _sylvester(4)]
-    nodes = n // 2 + 1
-    top = ((nodes * s) ** 2 * n) ** (n // 2)
-    k = 1
-    while math.prod(primes_below(k)) <= 2 * top:
-        k += 1
-    assert k > 2 and math.prod(primes_below(k - 1)) < top
-    want = _node_dets(p, p, nodes)
-    assert max(map(abs, want)) == top
-    assert pencil_dets(p, p, nodes) == want
-    # a general pencil (t - 4) * s * H' for H' the column-reversed H, singular at t = 4
-    p = [row[::-1] for row in p]
-    q = [[-4 * x for x in row] for row in p]
-    want = _node_dets(p, q, n + 1)
-    assert want[4] == 0 and pencil_dets(p, q, n + 1) == want
+def test_pencil_coefficients_at_the_coefficient_bound():
+    # P = Q = D diagonal: R(t) = (t + 1)^n det D, R_k = C(n, k) det D, and the
+    # bound prod_i sqrt(|P_i|^2 + 2|P_i.Q_i| + |Q_i|^2) is 2^n |det D|; with
+    # det D chosen so, a bound one prime short cannot carry C(n, n/2) det D
+    n = 12
+    primes = primes_below(8, math.isqrt(2**51 // n))
+    middle = math.comb(n, n // 2)
+    x = math.prod(primes[:2]) // (2 * middle) + 1
+    # the bound asks for three primes, and two cannot carry C(n, n/2) x
+    assert math.prod(primes[:2]) <= 2 * 2**n * x < math.prod(primes[:3])
+    assert 2 * middle * x > math.prod(primes[:2])
+    d = _block([[[x]]] + [[[1]]] * (n - 1))
+    want = [math.comb(n, j) * x for j in range(n + 1)]
+    assert pencil_coefficients(d, d, n // 2 + 1) == want
+    # a general pencil (t - 4) * s * H for H the column-reversed Sylvester-Hadamard
+    # matrix of order 16, which meets Hadamard's bound, singular at t = 4
+    m, s = 16, 3**5
+    p = [[s * y for y in row[::-1]] for row in _sylvester(4)]
+    q = [[-4 * y for y in row] for row in p]
+    assert pencil_coefficients(p, q, m + 1) == [math.comb(m, j) * (-4) ** (m - j) * det(p).numerator for j in range(m + 1)]
 
 
 def test_primes_below_are_the_largest_primes_up_to_prime():
     sympy = pytest.importorskip("sympy")
-    primes = primes_below(40)
+    primes = primes_below(40, PRIME)
     assert primes[0] == PRIME == sympy.prevprime(2**31 - 1)
     assert all(sympy.isprime(x) for x in primes)
     assert all(sympy.prevprime(x) == y for x, y in zip(primes, primes[1:]))
-    assert primes_below(3) == primes[:3]
+    assert primes_below(3, PRIME) == primes[:3]
+    assert primes_below(2, 2**21) == (sympy.prevprime(2**21), sympy.prevprime(sympy.prevprime(2**21)))
     rng = random.Random(22)
     for x in [rng.randrange(9, 2**31, 2) for _ in range(3000)] + [25326001, 3215031751 - 2, 1093**2, 2047]:
         assert _is_prime(x) == sympy.isprime(x), x
 
 
-def test_is_singular_across_the_cut_over():
+def test_is_singular_across_the_cut_over(monkeypatch):
     rng = random.Random(23)
     for n in range(1, ONE_MOD_P_MIN_DIM + 6):
         m = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         sing = [row[:] for row in m]
         sing[-1] = [2 * x - y for x, y in zip(sing[0], sing[(n - 1) // 2])] if n > 1 else [0]
         assert is_singular(m) == (det(m) == 0) and is_singular(sing)
-    # det = PRIME: a zero residue goes to the exact det
+    # det = the prime it screens with: a zero residue goes to the exact det
     n = ONE_MOD_P_MIN_DIM
-    diag = [[PRIME if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
-    assert not is_singular(diag)
+    prime = primes_below(1, math.isqrt(2**51 // n))[0]
+    diag = [[prime if i == j == 0 else int(i == j) for j in range(n)] for i in range(n)]
+    exact = []
+    monkeypatch.setattr("functal.linalg.det", lambda rows: exact.append(rows) or det(rows))
+    assert not is_singular(diag) and exact == [diag]
+    assert not is_singular([row[::-1] for row in m]) and len(exact) == 1
     assert is_singular([[x * 2**70 for x in row] for row in diag[:-1]] + [[0] * n])
