@@ -10,10 +10,14 @@ R(t) = det(t*dP + dQ) exactly and homogenizes it, dividing by d^n once at
 the end.  Below a measured size it interpolates R over Z from Bareiss
 determinants at nodes (for Q = P^T, R is palindromic and half the nodes
 suffice); from `linalg.CRT_MIN_DIM` rows on, R comes as coefficients from one
-Faddeev-LeVerrier characteristic polynomial per word-size prime, exact in
-float64 below 2**53 and rebuilt by CRT under a Hadamard bound on the
-coefficients (`linalg.pencil_coefficients`).  A univariate polynomial is
-only evaluated, made monic and searched for roots.
+Faddeev-LeVerrier characteristic polynomial per word-size prime (Faddeev
+and Faddeeva, Computational Methods of Linear Algebra), rebuilt by CRT under
+the Hadamard bound |R_k| <= prod_i sqrt(|P_i|^2 + 2|P_i.Q_i| + |Q_i|^2)
+(`linalg.pencil_coefficients`).  That route is exact because every value is
+an integer below 2**53 in float64: its primes are at most sqrt(2**51 / n),
+so 2 n p^2 <= 2**52, which holds at any size by taking smaller primes as n
+grows (above 2**21 for n < 256).  A univariate polynomial is only
+evaluated, made monic and searched for roots.
 
 From there to the roots the coefficients stay in Z: the squarefree
 decomposition runs Yun's algorithm (SYMSAC '76) on the primitive integer
