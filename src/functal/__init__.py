@@ -23,8 +23,6 @@ from .functional import (
     is_multiplicative,
     nil,
     pencil_at,
-    rank_gram,
-    restrict_form,
     stab,
     subspace_product,
     trace_functional,

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 from . import algebra as alg_mod
 from .algebra import Algebra
 from .errors import AlgebraMismatch, NotMatrixAlgebra
-from .linalg import RatMatrix, Vector, integer_vector, is_singular, kernel, rank, rref, vec, vec_dot
+from .linalg import RatMatrix, Vector, integer_vector, is_singular, kernel, rref, vec, vec_dot
 from .scalars import input_rat, rat, rat_str
 
 
@@ -294,10 +294,6 @@ def nil(f: Functional) -> Subspace:
     return stab(f, Alpha(0)).intersect(stab(f, ALPHA_INF))
 
 
-def rank_gram(f: Functional) -> int:
-    return rank(gram(f))
-
-
 def is_multiplicative(f: Functional) -> bool:
     """True iff F(e_i e_j) = F(e_i) F(e_j) on all basis pairs."""
     x = f.coords
@@ -319,13 +315,3 @@ def subspace_product(u: Subspace, v: Subspace) -> Subspace:
 def vanishes_on(f: Functional, s: Subspace) -> bool:
     x = integer_vector(f.coords)[1]
     return not any(sum(map(operator.mul, x, row)) for row in s.rows)
-
-
-def restrict_form(m: RatMatrix, rows: Subspace, cols: Subspace) -> RatMatrix:
-    """Matrix of the bilinear form m in the bases of two subspaces."""
-    if m.rows != rows.algebra.dim or m.cols != cols.algebra.dim:
-        raise ValueError("form dimensions do not match the subspace ambient spaces")
-    return RatMatrix(
-        [[vec_dot(u, m.apply(v)) for v in cols.basis] for u in rows.basis]
-    )
-

@@ -27,11 +27,11 @@ Computational Methods of Linear Algebra, 1963), one batched float64
 `matmul` per step over all primes, no pivoting, and rebuilds the
 coefficients R_k by the Chinese remainder theorem under the Hadamard bound
 |R_k| <= prod_i sqrt(|P_i|^2 + 2|P_i.Q_i| + |Q_i|^2) (Abbott, Bronstein,
-Mulders, ISSAC 1999).  Below CRT_MIN_DIM, `det` at each node is faster.
-`is_singular` trusts a nonzero det of one matrix mod one such prime from
-ONE_MOD_P_MIN_DIM rows on, and takes the exact `det` only on a zero
-residue.  Both are exact because every value is an integer below 2**53 in
-float64: the primes are at most sqrt(2**51 / n), so 2 n p^2 <= 2**52
+Mulders, ISSAC 1999).  `is_singular` trusts a nonzero det of one matrix
+mod one such prime from the same size on, and takes the exact `det` only on
+a zero residue.  Below CRT_MIN_DIM, Bareiss `det` is faster.  Both are
+exact because every value is an integer below 2**53 in float64: the primes
+are at most sqrt(2**51 / n), so 2 n p^2 <= 2**52
 bounds every sum of n products of a residue in [-p, p) by one in [-p, 2p)
 (p is above 2**21 for n < 256 and smaller past it), and entries from 2**63
 on are reduced by Python before the cast.
@@ -56,13 +56,11 @@ Vector = tuple[Fraction, ...]
 PRIME = 2147483629
 
 # from this size on, pencil polynomials det(t*P + Q) are taken mod word-size
-# primes (`pencil_coefficients`); the node route it replaced measured faster
-# than Bareiss from 11 (reciprocal) and 9 (general) rows
+# primes (`pencil_coefficients`), and one det mod p proves a matrix regular
+# (`is_singular`); against Bareiss, the node route that `pencil_coefficients`
+# replaced measured faster from 11 (reciprocal) and 9 (general) rows, and one
+# det mod p from 12 rows (0.126 against 0.146 ms; 0.154 against 0.284 at 16)
 CRT_MIN_DIM = 12
-# one matrix alone pays a numpy route's per-call cost: its det mod PRIME by
-# an elimination measured faster than Bareiss from 22 rows on, and by
-# `_faddeev_leverrier` it is 2-3x faster still at 22-36 rows
-ONE_MOD_P_MIN_DIM = 22
 
 
 def vec(entries) -> Vector:
@@ -157,13 +155,6 @@ class RatMatrix:
         (da, a), (db, b) = self.integer_form(), other.integer_form()
         cols = tuple(zip(*b))
         return RatMatrix.from_integer_form(da * db, tuple(tuple(sum(map(operator.mul, u, c)) for c in cols) for u in a))
-
-    def apply(self, v: Vector) -> Vector:
-        if self.cols != len(v):
-            raise ValueError("dimension mismatch in matrix-vector product")
-        d, ints = self.integer_form()
-        dv, iv = integer_vector(v)
-        return tuple(Fraction(sum(map(operator.mul, u, iv)), d * dv) for u in ints)
 
 
 def float_matrix(m: RatMatrix) -> np.ndarray:
@@ -532,11 +523,11 @@ def inverse(m: RatMatrix) -> RatMatrix:
 
 
 def is_singular(rows: Sequence[Sequence[int]]) -> bool:
-    """det = 0 for square integer rows.  From ONE_MOD_P_MIN_DIM rows on, a
-    nonzero det mod one word-size prime (`_faddeev_leverrier`) proves
-    det != 0; only a zero residue takes the exact `det`."""
+    """det = 0 for square integer rows.  From CRT_MIN_DIM rows on, a nonzero
+    det mod one word-size prime (`_faddeev_leverrier`) proves det != 0; only
+    a zero residue takes the exact `det`."""
     n = len(rows)
-    if n >= ONE_MOD_P_MIN_DIM:
+    if n >= CRT_MIN_DIM:
         primes = primes_below(1, isqrt(2**51 // n))
         a = _residues(rows, primes).astype(float)
         if _faddeev_leverrier(a, np.array(primes, dtype=float), _negated_inverses(n, primes))[0][0, 0]:

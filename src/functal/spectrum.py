@@ -36,11 +36,10 @@ from .functional import (
     nil,
     pencil_at,
     regular_at,
-    restrict_form,
     stab,
     subspace_product,
 )
-from .linalg import PRIME, float_matrix, integer_vector, is_singular, kernel, rank, ranks_mod_p
+from .linalg import PRIME, RatMatrix, float_matrix, integer_vector, is_singular, kernel, rank, ranks_mod_p
 from .poly import BivariatePoly, pencil_det, uni_roots
 from .sampling import SamplerConfig, sample_functionals
 from .scalars import ComplexApprox
@@ -51,9 +50,13 @@ from .scalars import ComplexApprox
 # ---------------------------------------------------------------------------
 
 
-def char_poly_raw(f: Functional, v: Subspace | None = None) -> BivariatePoly:
-    """Exact det(lam*M + mu*M^T), not normalized; M is restricted to v when given."""
-    m = gram(f) if v is None else restrict_form(gram(f), v, v)
+def char_poly_raw(f: Functional, keep: Sequence[int] | None = None) -> BivariatePoly:
+    """Exact det(lam*M + mu*M^T), not normalized; M is restricted to the
+    coordinates in ``keep`` when given, the span of those standard vectors."""
+    m = gram(f)
+    if keep is not None:
+        d, rows = m.integer_form()
+        m = RatMatrix.from_integer_form(d, tuple(tuple(rows[i][j] for j in keep) for i in keep))
     return pencil_det(m, m.transpose())
 
 
@@ -254,12 +257,6 @@ def jordan_spaces(f: Functional, alpha, alpha0=None) -> JordanFiltration:
 TYPE1, TYPE2, TYPE3 = "Type1", "Type2", "Type3"
 
 
-def canonical_complement(s: Subspace) -> Subspace:
-    """Complement spanned by the standard vectors at the non-pivot coordinates."""
-    alg = s.algebra
-    return Subspace(alg, [alg.basis_vector(i) for i in range(alg.dim) if i not in s.pivots])
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     kind: ClassVar[str] = "classification"
@@ -291,9 +288,10 @@ def classify(alg: Algebra, sampler: SamplerConfig) -> ClassificationReport:
             if not char_poly_raw(f).is_zero():
                 return ClassificationReport(TYPE1, 0, (f,), sampler.samples, sampler.seed)
         return ClassificationReport(TYPE3, 0, tuple(fs[:1]), sampler.samples, sampler.seed)
-    v = canonical_complement(witness_nil)
+    # the complement spanned by the standard vectors at the non-pivot coordinates
+    keep = [i for i in range(alg.dim) if i not in witness_nil.pivots]
     for f in fs:
-        if not char_poly_raw(f, v).is_zero():
+        if not char_poly_raw(f, keep).is_zero():
             return ClassificationReport(TYPE2, min_nil, (witness, f), sampler.samples, sampler.seed)
     return ClassificationReport(TYPE3, min_nil, (witness,), sampler.samples, sampler.seed)
 

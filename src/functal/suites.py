@@ -25,14 +25,13 @@ from .functional import (
     Subspace,
     gram,
     is_multiplicative,
-    rank_gram,
     stab,
     subspace_product,
     trace_functional,
     vanishes_on,
 )
 from .gallery import gallery_algebras
-from .linalg import RatMatrix, det, inverse, kron
+from .linalg import RatMatrix, det, inverse, kron, rank
 from .sampling import SamplerConfig, random_functional
 from .spectrum import (
     CheckResult,
@@ -140,7 +139,7 @@ def stab_props_suite(seed: int = 0) -> SuiteReport:
         for coords in itertools.product((0, 1), repeat=alg.dim):
             f = Functional(alg, tuple(Fraction(c) for c in coords))
             mult = is_multiplicative(f)
-            r = rank_gram(f)
+            r = rank(gram(f))
             if mult and any(coords):
                 _check(checks, f"{name}: multiplicative {coords} has rank 1", r == 1)
             if r == 1 and f(unity) == 1:

@@ -19,7 +19,7 @@ def library_files() -> list[Path]:
 # {def: (named, reason)} of every def kept on purpose though no CLI command
 # runs it, by qualified name.  `named` says whether a line of src/functal or
 # perfbench/*.py names it: this test exempts only the defs that none names,
-# and tests/test_liveness.py, which reads the whole table, fails when an
+# and tests/test_corpus.py, which reads the whole table, fails when an
 # entry runs
 ALLOWED = {
     "opposite": (True, "perfbench/layers.py wraps it by name"),

@@ -1,7 +1,6 @@
 """The command line through `cli.run`: exit codes, one-line errors, JSON output."""
 
 import contextlib
-import hashlib
 import io
 import json
 import os
@@ -12,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from cli_corpus import sha256
 from functal import cli
 from functal.algebra import mat, parse_algebra, serialize_algebra, tensor_product, ut
 from functal.functional import Alpha, stab
-from functal.gallery import INVERTIBLE_B, JORDAN_BLOCK_B, gallery_algebras
+from functal.gallery import JORDAN_BLOCK_B, gallery_algebras
 from functal.report import to_json
 from functal.sampling import SamplerConfig, sample_functionals
 from functal.spectrum import classify, index, jordan_spaces, regularity_corollary_suite, spectrum
@@ -27,30 +27,6 @@ from functal.tensor import (
     tensor_functional,
     tensor_stab_suite,
 )
-
-# SHA-256 of the stdout of each command, each recorded once before a rewrite
-# it guards (the elimination kernel; the integer chi pipeline, whose spectra
-# of mat(4) and mat(2)xut(3) hand 12 and 4 irrational roots to np.roots; the
-# reciprocal chi nodes, with odd n and r(0) = 0 on ut(5), n = 25 on mat(5),
-# and a general pencil in `tensor`; the one report serialiser); a refactor
-# keeps them.  A key with <...> names an input, or a report no verb prints,
-# that its own test below builds.
-DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "cli_output_sha256.json").read_text())
-# `index` and `classify --format json` on mat:6, mat:5, ut:6, tensor:mat:2;ut:3
-# and seaweed:2,2,1;1,3,1 at seeds 0-9, recorded before the mod-p screen of
-# the sampled dimensions, which keeps them
-SAMPLING_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "sampling_index_classify_sha256.json").read_text())
-# `verify cayley` at seeds 1-9, `verify tensor-chi` at seed 1 and three more
-# `tensor` pairs, recorded before the matrix products, Kronecker products,
-# transposes and scalings moved to the integer form, which keeps them; the
-# float `max_relative_error` also pins the balanced inputs bit for bit
-IDENTITY_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "identities_sha256.json").read_text())
-# `verify stab-props`, `vk-props`, `regular-corollaries` and `tensor-stab` at
-# seeds 1-9, recorded before those suites stopped repeating work whose
-# answer they already had; seed 7 gives `regular-corollaries` degenerate
-# samples (the first `qq` draw and a later seaweed draw)
-SUITE_DIGESTS = json.loads((Path(__file__).parent / "fixtures" / "suites_sha256.json").read_text())
-
 
 BAD_TABLE_5 = json.dumps({"dim": 1, "basis": ["a"], "table": 5})
 BAD_ROW_5 = json.dumps({"dim": 1, "basis": ["a"], "table": [5]})
@@ -353,62 +329,20 @@ def test_json_output_round_trips_and_matches_the_library(capsys, argv, expected)
     assert code == 0 and text and text != out
 
 
-def sha256(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-@pytest.mark.parametrize("command", sorted(k for k in DIGESTS if "<" not in k))
-def test_output_is_byte_identical_to_the_recorded_digest(capsys, command):
-    code, out, err = run(capsys, *command.split())
-    assert code == 0 and err == ""
-    assert sha256(out) == DIGESTS[command]
-
-
-@pytest.mark.parametrize("command", sorted(SAMPLING_DIGESTS))
-def test_sampled_index_and_type_are_byte_identical(capsys, command):
-    code, out, err = run(capsys, *command.split())
-    assert code == 0 and err == ""
-    assert sha256(out) == SAMPLING_DIGESTS[command]
-
-
-@pytest.mark.parametrize("command", sorted(IDENTITY_DIGESTS))
-def test_identity_checks_are_byte_identical(capsys, command):
-    code, out, err = run(capsys, *command.split())
-    assert code == 0 and err == ""
-    assert sha256(out) == IDENTITY_DIGESTS[command]
-
-
-def test_suite_outputs_are_byte_identical(capsys):
-    changed = []
-    for command, digest in sorted(SUITE_DIGESTS.items()):
-        code, out, err = run(capsys, *command.split())
-        if code != 0 or err or sha256(out) != digest:
-            changed.append(command)
-    assert changed == []
-
-
-@pytest.mark.parametrize("name, b", [("INVERTIBLE_B", INVERTIBLE_B), ("JORDAN_BLOCK_B", JORDAN_BLOCK_B)])
-def test_non_type1_classification_is_byte_identical(capsys, tmp_path, name, b):
-    path = tmp_path / "b.json"
-    path.write_text(json.dumps(b))
-    code, out, err = run(capsys, "classify", "--algebra", f"abc0:{path}", "--samples", "2", "--format", "json")
-    assert code == 0 and err == ""
-    assert sha256(out) == DIGESTS[f"classify --algebra abc0:<{name}> --samples 2 --format json"]
-
-
 def test_reports_no_verb_prints_serialise_byte_identically():
     algs = gallery_algebras()
     cfg = SamplerConfig(samples=4)
+    # SHA-256 of each report's canonical JSON; the CLI's outputs are pinned in tests/cli_corpus.json
     reports = {
-        "<RegularityReport> regularity_corollary_suite(unital_ext_nondiag, samples=4)":
+        "ce1c0ba0fe0c830030607efa4f35a4bc241943d3714dd28dc55903c42dfd2e6d":
             regularity_corollary_suite(algs["unital_ext_nondiag"], cfg),
-        "<TensorIndexReport> mat_tensor_index_experiment(2, ut(3), samples=4)":
+        "86e81e6ea04eacd300ab62dc6e7be5571a0c7a5db417db3f870e1f463cf2a313":
             mat_tensor_index_experiment(2, ut(3), cfg),
-        "<TensorIndexReport> mat_tensor_index_experiment(2, abc0_invertible, samples=4)":
+        "bcfec7c0df15c39a1daf7541c6e584971275098c0b41f72d0245e790ade6062e":
             mat_tensor_index_experiment(2, algs["abc0_invertible"], cfg),
     }
-    for key, rep in reports.items():
-        assert sha256(json.dumps(to_json(rep), sort_keys=True)) == DIGESTS[key], key
+    for digest, rep in reports.items():
+        assert sha256(json.dumps(to_json(rep), sort_keys=True)) == digest, rep
 
 
 def reserialises(out):
@@ -440,7 +374,6 @@ def test_validate_exits_1_on_a_perturbed_table(capsys, tmp_path):
     bad.write_text(json.dumps(doc))
     code, out, err = run(capsys, "validate", "--algebra", str(bad), "--format", "json")
     assert code == 1 and err == "" and reserialises(out)
-    assert sha256(out) == DIGESTS["validate --algebra <mat:2 with E11*E11 = 2 E11> --format json"]
     rep = json.loads(out)
     assert not rep["ok"] and [0, 0, 1] in [v["triple"] for v in rep["violations"]]
     code, text, _ = run(capsys, "validate", "--algebra", str(bad))

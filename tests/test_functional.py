@@ -17,15 +17,13 @@ from functal.functional import (
     is_multiplicative,
     nil,
     pencil_at,
-    rank_gram,
-    restrict_form,
     stab,
     subspace_product,
     trace_functional,
     vanishes_on,
 )
 from functal.gallery import gallery_algebras
-from functal.linalg import RatMatrix, det, inverse, kernel, vec
+from functal.linalg import RatMatrix, det, inverse, kernel, rank, vec
 from functal.spectrum import char_poly, spectrum
 
 
@@ -273,9 +271,9 @@ def test_w_inside_nil_for_any_nilpotent_pair():
 def test_rank_one_and_multiplicative_on_qq():
     qq = direct_sum(mat(1), mat(1))
     f = Functional(qq, (Q(1), Q(0)))
-    assert is_multiplicative(f) and rank_gram(f) == 1
+    assert is_multiplicative(f) and rank(gram(f)) == 1
     g = Functional(qq, (Q(1), Q(1)))
-    assert rank_gram(g) == 2 and not is_multiplicative(g)
+    assert rank(gram(g)) == 2 and not is_multiplicative(g)
 
 
 def test_rank_one_normalized_implies_multiplicative():
@@ -284,11 +282,11 @@ def test_rank_one_normalized_implies_multiplicative():
     hits = 0
     for coords in itertools.product((0, 1), repeat=3):
         f = Functional(qqq, tuple(Q(c) for c in coords))
-        if rank_gram(f) == 1 and f(unity) == 1:
+        if rank(gram(f)) == 1 and f(unity) == 1:
             hits += 1
             assert is_multiplicative(f)
         if is_multiplicative(f) and any(coords):
-            assert rank_gram(f) == 1
+            assert rank(gram(f)) == 1
     assert hits == 3
 
 
@@ -333,39 +331,6 @@ def test_vanishes_on():
     one = Subspace(m2, [m2.unity])
     assert not vanishes_on(f, one)
     assert vanishes_on(f, Subspace.zero(m2))
-
-
-# ---------------------------------------------------------------------------
-# restricted forms
-# ---------------------------------------------------------------------------
-
-
-def test_restrict_q_form_on_diag_stabilizer():
-    m2 = mat(2)
-    f = trace_functional(m2, RatMatrix([[1, 0], [0, 2]]))
-    s1 = stab(f, 1)
-    m = gram(f)
-    q = restrict_form(m + m.transpose(), s1, s1)
-    assert q == RatMatrix([[2, 0], [0, 4]])
-    assert det(q) != 0
-
-
-def test_restrict_form_scalar_unity_case():
-    alg = ut(1)  # one-dimensional unital algebra
-    f = Functional(alg, (Q(3),))
-    s1 = stab(f, 1)
-    m = gram(f)
-    q = restrict_form(m + m.transpose(), s1, s1)
-    assert q == RatMatrix([[6]])  # 2 F(1)
-    assert det(q) != 0
-
-
-def test_empty_restriction_is_nondegenerate():
-    m2 = mat(2)
-    z = Subspace.zero(m2)
-    m = gram(Functional(m2, (0, 0, 0, 0)))
-    q = restrict_form(m + m.transpose(), z, z)
-    assert q.rows == 0 and det(q) != 0
 
 
 # ---------------------------------------------------------------------------

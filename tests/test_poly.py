@@ -3,7 +3,6 @@ import json
 import math
 import random
 from fractions import Fraction as Q
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -679,14 +678,3 @@ def test_rational_roots_match_sympy():
             p *= _sympy_poly(sympy, [rng.randint(-30, 30) for _ in range(deg)] + [rng.randint(1, 30)], X).as_expr()
         want = {Q(int(r.p), int(r.q)): m for r, m in sympy.Poly(p, X).ground_roots().items()}
         assert rational_roots(upoly(p, X)) == want
-
-
-def test_worst_case_spectrum_report_unchanged(capsys):
-    # the degree-20 factor of this draw's pencil polynomial has 74-bit end
-    # coefficients with up to 10,125 divisors: the worst case for a search
-    # over divisor pairs
-    from functal import cli
-
-    fixture = Path(__file__).parent / "fixtures" / "spectrum_mat5_seed4.json"
-    assert cli.run(["spectrum", "--algebra", "mat:5", "--seed", "4", "--format", "json"]) == 0
-    assert capsys.readouterr().out == fixture.read_text()

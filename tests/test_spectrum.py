@@ -91,8 +91,7 @@ def test_char_poly_mat2_diag12():
 def test_char_poly_restricted_to_subspace():
     m2 = mat(2)
     f = trace_functional(m2, RatMatrix([[1, 0], [0, 2]]))
-    v = Subspace(m2, [m2.basis_vector(0), m2.basis_vector(3)])  # diagonal units
-    chi = char_poly_raw(f, v)
+    chi = char_poly_raw(f, [0, 3])  # the diagonal units
     lam, mu = symbols()
     assert chi == poly(2 * (lam + mu) ** 2)
 
@@ -579,10 +578,9 @@ def test_classify_shared_column_b_is_type2():
     # direct verification of the complement determinant at a concrete F
     f = Functional.from_dict(alg, {"w": 1, "v1": 3, "v2": 4, "v3": 5})
     from functal.functional import nil
-    from functal.spectrum import canonical_complement
 
-    v = canonical_complement(nil(f))
-    chi = char_poly_raw(f, v)
+    n = nil(f)
+    chi = char_poly_raw(f, [i for i in range(alg.dim) if i not in n.pivots])
     lam, mu = symbols()
     assert chi == poly(-lam * mu)
 
@@ -814,8 +812,7 @@ def test_quotient_by_nil_recovers_live_summand():
     n = nil(f)
     assert n == Subspace(alg, [alg.basis_vector(3), alg.basis_vector(4)])
     assert is_two_sided_ideal(n)
-    live = Subspace(alg, [alg.basis_vector(i) for i in range(3)])
-    assert char_poly_raw(f, live) == char_poly_raw(Functional(ut(2), (Q(2), Q(3), Q(5))))
+    assert char_poly_raw(f, range(3)) == char_poly_raw(Functional(ut(2), (Q(2), Q(3), Q(5))))
 
 
 def test_quotient_by_nil_trivial_when_nil_zero():
